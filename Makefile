@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench sweepbench allocbench telemetrybench pausebench zonebench tracebench parzonebench assertbench slobench difftest fuzz figures casestudies verify
+.PHONY: all build test race bench perf sweepbench allocbench telemetrybench pausebench zonebench tracebench parzonebench assertbench slobench difftest fuzz figures casestudies verify
 
 all: build test
 
@@ -16,6 +16,13 @@ race:
 
 bench:
 	go test -bench . -benchmem ./...
+
+# The repository benchmark (BENCHMARK.json): builds perfbench from this
+# checkout and runs the jbb-leak and db-owned workloads, printing each
+# workload's report and its final JSON line.
+perf:
+	bash perfbench/run.sh --workload jbb-leak
+	bash perfbench/run.sh --workload db-owned
 
 # Sweep-mode microbenchmarks: eager vs parallel vs lazy sweep, and the
 # allocator with and without demand sweeping (see results/lazy_sweep.txt).
@@ -48,10 +55,12 @@ zonebench:
 	go run ./cmd/gcbench -fig zones | tee results/zones.txt
 
 # Trace-throughput baseline: marked words/sec on the pseudojbb shape under
-# serial, parallel, and concurrent-zone tracing — the ROADMAP item 4
+# serial whole-heap and concurrent-zone tracing — the ROADMAP item 4
 # compaction work measures against this (see results/trace_throughput.txt).
+# The first line records the machine the numbers came from.
 tracebench:
-	go test -run '^$$' -bench BenchmarkTraceThroughput -benchmem ./internal/harness | tee results/trace_throughput.txt
+	{ echo "# nproc=$$(nproc) GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)} cpu=\"$$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ *//')\" $$(go version | cut -d' ' -f3-)"; \
+	  go test -run '^$$' -bench BenchmarkTraceThroughput -benchmem ./internal/harness; } | tee results/trace_throughput.txt
 
 # Parallel zone rotation: aggregate GC throughput (marked words/sec) and
 # mutator throughput under the serialized rotation vs concurrent rotations
@@ -82,27 +91,25 @@ slobench:
 		-duration 4s -heapwords 65536 -entries 1000 \
 		-slo-rps 500 -slo-p99 50ms | tee results/serving_slo.txt
 
-# Differential tests: serial vs parallel collections on identical scripts,
-# stop-the-world vs incremental cycles (plus the shadow-model oracle), eager
-# vs parallel vs lazy sweep modes under both collectors, direct vs buffered
-# allocation across every collector mode, telemetry on vs off (recording
-# must be pure observation — byte-identical heaps), and stop-the-world vs
-# background-pacer concurrent collection (same final marked set and
-# assertion verdicts).
+# Differential tests: stop-the-world vs incremental cycles (plus the
+# shadow-model oracle), eager vs parallel vs lazy sweep modes under both
+# collectors, direct vs buffered allocation across every collector mode,
+# telemetry on vs off (recording must be pure observation — byte-identical
+# heaps), and stop-the-world vs background-pacer concurrent collection (same
+# final marked set and assertion verdicts).
 difftest:
-	go test -race -run 'TestDifferential|TestIncrementalDifferential|TestOracle' -v ./internal/trace
+	go test -race -run 'TestIncrementalDifferential|TestOracle' -v ./internal/trace
 	go test -race -run 'TestSweepModesDifferential|TestLazySweep|TestAllocBuffer|TestTelemetry' -v ./internal/core
 	go test -race -run 'TestConcurrentDifferential' -v ./internal/core
 	go test -race -run 'TestParallelZoneDifferential' -v ./internal/core
 	go test -race -run 'TestSideTabDifferential' -v ./internal/core
 	go test -race -run 'TestStalenessSideTabDifferential' -v ./internal/staleness
 
-# Short coverage-guided fuzz runs: the serial/parallel equivalence, the
-# stop-the-world/incremental equivalence, the eager/parallel/lazy sweep
-# equivalence, and the direct/buffered allocation equivalence (go test takes
-# one -fuzz pattern per invocation, so the targets run sequentially).
+# Short coverage-guided fuzz runs: the stop-the-world/incremental
+# equivalence, the eager/parallel/lazy sweep equivalence, and the
+# direct/buffered allocation equivalence (go test takes one -fuzz pattern
+# per invocation, so the targets run sequentially).
 fuzz:
-	go test -run '^$$' -fuzz FuzzParallelTrace -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzIncrementalBarrier -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzLazySweep -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzAllocBuffer -fuzztime 30s ./internal/core

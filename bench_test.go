@@ -12,7 +12,6 @@ package repro
 // cmd/gcbench prints the same data as figure-style normalized tables.
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -75,47 +74,6 @@ func workloadSubjectFor(f workloads.Factory, mode core.Mode) harness.Subject {
 			inst.Setup(rt, th)
 			return func() { inst.Iterate(rt, th) }
 		},
-	}
-}
-
-// BenchmarkParallelTrace measures full-collection time over the harness's
-// large synthetic scaling graph at 1/2/4/8 mark workers, in both collector
-// configurations (Base exercises the bare parallel mark; Infrastructure
-// adds the piggybacked detection checks). Wall-clock speedup needs real
-// cores: under GOMAXPROCS=1 the worker counts measure coordination
-// overhead only. gc-ms/op is per collection.
-func BenchmarkParallelTrace(b *testing.B) {
-	cfg := harness.DefaultTraceScaling
-	for _, mode := range []core.Mode{core.Base, core.Infrastructure} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
-				rt := core.New(core.Config{
-					HeapWords:    cfg.HeapWords,
-					Mode:         mode,
-					TraceWorkers: workers,
-				})
-				harness.BuildScalingGraph(rt, cfg)
-				if err := rt.GC(); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := rt.GC(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				st := rt.Stats().GC
-				b.ReportMetric(float64(st.MarkedObjects)/float64(st.FullCollections), "objs/gc")
-				if st.ParallelTraces > 0 {
-					var steals uint64
-					for _, s := range st.WorkerSteals {
-						steals += s
-					}
-					b.ReportMetric(float64(steals)/float64(st.ParallelTraces), "steals/gc")
-				}
-			})
-		}
 	}
 }
 

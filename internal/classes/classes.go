@@ -254,21 +254,15 @@ func (r *Registry) Tracked(id uint32) bool { return r.tracked[id] }
 // CountInstance records one live instance of class id during tracing. The
 // count lands on the tracked class itself or, for subclass-inclusive
 // limits, on the tracking ancestor.
-func (r *Registry) CountInstance(id uint32) { r.CountInstances(id, 1) }
-
-// CountInstances records n live instances of class id at once. The parallel
-// tracer shards counts per worker and merges the shards here at the end of
-// the trace; the routing (exact class vs subclass-inclusive ancestor) is
-// identical to CountInstance.
-func (r *Registry) CountInstances(id uint32, n int64) {
+func (r *Registry) CountInstance(id uint32) {
 	c := r.classes[id]
 	if c.instanceLimit != NoLimit {
-		c.instanceCount += n
+		c.instanceCount++
 		return
 	}
 	for k := c.Super; k != nil; k = k.Super {
 		if k.instanceLimit != NoLimit && k.includeSubclasses {
-			k.instanceCount += n
+			k.instanceCount++
 			return
 		}
 	}
@@ -277,7 +271,7 @@ func (r *Registry) CountInstances(id uint32, n int64) {
 // FoldLocalCounts converts a per-trace tally of raw class IDs to live
 // instance counts into trackedIDs order, routing each class's count to the
 // class that tracks it (itself, or the nearest subclass-inclusive
-// ancestor) exactly as CountInstances would. Concurrent zone traces count
+// ancestor) exactly as CountInstance would. Concurrent zone traces count
 // into a private map instead of the shared per-class counters — two
 // overlapping traces bumping c.instanceCount would corrupt both tallies —
 // and fold here after the trace, under the caller's lock.

@@ -2,8 +2,9 @@ package core
 
 import "repro/internal/vmheap"
 
-// Debug introspection used by the differential tests (serial vs parallel
-// collections must leave behind identical heaps) and available to tools.
+// Debug introspection used by the differential tests (two runtimes that
+// differ only in sweep or allocation mode must leave behind identical
+// heaps) and available to tools.
 
 // LiveObject describes one allocated object in a LiveSet dump.
 type LiveObject struct {

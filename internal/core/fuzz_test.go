@@ -2,8 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -245,137 +243,4 @@ func TestOracleAssertDeadExactness(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
-}
-
-// FuzzParallelTrace drives a byte-coded mutator script against a serial and
-// a 4-worker runtime and requires identical observable state after every
-// collection: live set, free lists, and violation multiset. It is the
-// fuzzer-shaped twin of the trace package's differential tests — the corpus
-// explores op interleavings that the seeded random scripts may never hit.
-func FuzzParallelTrace(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 1, 1, 3, 2, 0, 1, 8, 0, 0})
-	f.Add([]byte{0, 0, 0, 4, 0, 0, 8, 0, 0, 3, 0, 0, 8, 0, 0})
-	f.Add([]byte{6, 0, 0, 0, 1, 0, 7, 0, 0, 8, 0, 0, 5, 1, 0, 8, 0, 0})
-	f.Add([]byte{1, 0, 5, 0, 1, 0, 2, 0, 1, 4, 1, 0, 8, 0, 0, 8, 0, 0})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const (
-			slots   = 8
-			maxOps  = 300
-			workers = 4
-		)
-		type world struct {
-			rt          *Runtime
-			th          *Thread
-			fr          *Frame
-			node        *Class
-			aOff, bOff  uint16
-			regionDepth int
-		}
-		build := func(w int) *world {
-			rt := New(Config{HeapWords: 1 << 12, Mode: Infrastructure, TraceWorkers: w})
-			node := rt.DefineClass("Node", RefField("a"), RefField("b"))
-			wd := &world{
-				rt: rt, th: rt.MainThread(), node: node,
-				aOff: node.MustFieldIndex("a"), bOff: node.MustFieldIndex("b"),
-			}
-			wd.fr = wd.th.PushFrame(slots)
-			return wd
-		}
-		apply := func(w *world, code, i, k byte) {
-			slot := int(i) % slots
-			switch code % 9 {
-			case 0: // alloc node into slot
-				w.fr.SetLocal(slot, w.th.New(w.node))
-			case 1: // alloc ref array into slot
-				w.fr.SetLocal(slot, w.th.NewRefArray(1+int(k)%6))
-			case 2: // wire slot -> slot
-				src := w.fr.Local(slot)
-				dst := w.fr.Local(int(k) % slots)
-				if src == Nil {
-					return
-				}
-				if w.rt.ClassOf(src) == w.node {
-					off := w.aOff
-					if k%2 == 1 {
-						off = w.bOff
-					}
-					w.rt.SetRef(src, off, dst)
-				} else if n := w.rt.ArrLen(src); n > 0 {
-					w.rt.ArrSetRef(src, int(k)%n, dst)
-				}
-			case 3: // clear slot
-				w.fr.SetLocal(slot, Nil)
-			case 4: // assert-dead
-				if r := w.fr.Local(slot); r != Nil {
-					_ = w.rt.AssertDead(r)
-				}
-			case 5: // assert-unshared
-				if r := w.fr.Local(slot); r != Nil {
-					_ = w.rt.AssertUnshared(r)
-				}
-			case 6: // start-region
-				if w.regionDepth < 2 {
-					if w.th.StartRegion() == nil {
-						w.regionDepth++
-					}
-				}
-			case 7: // assert-alldead
-				if w.regionDepth > 0 {
-					if err := w.th.AssertAllDead(); err != nil {
-						t.Fatalf("AssertAllDead: %v", err)
-					}
-					w.regionDepth--
-				}
-			case 8: // force a full collection
-				if err := w.rt.GC(); err != nil {
-					t.Fatalf("GC: %v", err)
-				}
-			}
-		}
-		render := func(rt *Runtime) []string {
-			var out []string
-			for _, v := range rt.Violations() {
-				out = append(out, v.Format())
-			}
-			sort.Strings(out)
-			return out
-		}
-		compare := func(at int, serial, parallel *world) {
-			if a, b := serial.rt.LiveSet(), parallel.rt.LiveSet(); !reflect.DeepEqual(a, b) {
-				t.Fatalf("op %d: live sets differ: %v vs %v", at, a, b)
-			}
-			if a, b := serial.rt.FreeChunks(), parallel.rt.FreeChunks(); !reflect.DeepEqual(a, b) {
-				t.Fatalf("op %d: free lists differ: %v vs %v", at, a, b)
-			}
-			if a, b := render(serial.rt), render(parallel.rt); !reflect.DeepEqual(a, b) {
-				t.Fatalf("op %d: violations differ: %v vs %v", at, a, b)
-			}
-		}
-
-		serial, parallel := build(1), build(workers)
-		ops := 0
-		for n := 0; n+3 <= len(data) && ops < maxOps; n += 3 {
-			code, i, k := data[n], data[n+1], data[n+2]
-			apply(serial, code, i, k)
-			apply(parallel, code, i, k)
-			ops++
-			if code%9 == 8 {
-				compare(ops, serial, parallel)
-			}
-		}
-		if err := serial.rt.GC(); err != nil {
-			t.Fatalf("final GC (serial): %v", err)
-		}
-		if err := parallel.rt.GC(); err != nil {
-			t.Fatalf("final GC (parallel): %v", err)
-		}
-		compare(ops, serial, parallel)
-		if errs := serial.rt.VerifyHeap(); len(errs) != 0 {
-			t.Fatalf("serial heap corrupt: %v", errs[0])
-		}
-		if errs := parallel.rt.VerifyHeap(); len(errs) != 0 {
-			t.Fatalf("parallel heap corrupt: %v", errs[0])
-		}
-	})
 }

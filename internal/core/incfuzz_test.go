@@ -18,8 +18,7 @@ import (
 // regions opened and closed across slice boundaries — that the seeded
 // random scripts may never hit.
 //
-// Unlike FuzzParallelTrace, raw LiveSet/FreeChunks comparison is unsound
-// here: the two worlds sweep at different script points, so their free
+// Raw LiveSet/FreeChunks comparison is unsound here: the two worlds sweep at different script points, so their free
 // lists and recycled addresses legitimately diverge. Objects are therefore
 // tracked by script-assigned allocation ids, and violations are rendered at
 // report time — while the violating object is still allocated — because the

@@ -12,7 +12,7 @@ import (
 // Tests for incremental collection cycles (Config.IncrementalBudget > 0):
 // the assertion matrix (every assertion kind under every cycle schedule,
 // including mutations racing the mark slices), the pause-accounting
-// invariants across serial/parallel/incremental configurations, the config
+// invariants across stop-the-world/incremental configurations, the config
 // validation, and the allocation-triggered cycle path.
 
 // incFix is one runtime under a chosen schedule, with a small class and a
@@ -259,13 +259,13 @@ func TestIncrementalAssertionMatrix(t *testing.T) {
 }
 
 // TestIncrementalStatsInvariants is the pause-accounting regression across
-// the three collector configurations: all collector work happens inside
+// the stop-the-world and incremental configurations: all collector work happens inside
 // stop-the-world pauses, so PauseTime must equal GCTime exactly, MaxPause
 // must never exceed PauseTime, and the incremental counters must be zero
 // exactly when incremental mode is off.
 func TestIncrementalStatsInvariants(t *testing.T) {
-	run := func(t *testing.T, workers, budget int) gc.Stats {
-		rt := New(Config{HeapWords: 1 << 12, Mode: Infrastructure, TraceWorkers: workers, IncrementalBudget: budget})
+	run := func(t *testing.T, budget int) gc.Stats {
+		rt := New(Config{HeapWords: 1 << 12, Mode: Infrastructure, IncrementalBudget: budget})
 		node := rt.DefineClass("Node", RefField("a"), RefField("b"))
 		aOff := node.MustFieldIndex("a")
 		th := rt.MainThread()
@@ -306,16 +306,15 @@ func TestIncrementalStatsInvariants(t *testing.T) {
 	}
 
 	configs := []struct {
-		name            string
-		workers, budget int
+		name   string
+		budget int
 	}{
-		{"serial", 0, 0},
-		{"parallel", 4, 0},
-		{"incremental", 0, 2},
+		{"serial", 0},
+		{"incremental", 2},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
-			s := run(t, cfg.workers, cfg.budget)
+			s := run(t, cfg.budget)
 			if s.PauseTime != s.GCTime {
 				t.Errorf("PauseTime %v != GCTime %v (all work is stop-the-world)", s.PauseTime, s.GCTime)
 			}
@@ -359,7 +358,6 @@ func TestIncrementalConfigValidation(t *testing.T) {
 	}
 	mustPanic("negative-budget", Config{HeapWords: 1 << 10, Mode: Infrastructure, IncrementalBudget: -1})
 	mustPanic("base-mode", Config{HeapWords: 1 << 10, Mode: Base, IncrementalBudget: 4})
-	mustPanic("parallel-trace", Config{HeapWords: 1 << 10, Mode: Infrastructure, IncrementalBudget: 4, TraceWorkers: 2})
 }
 
 // TestIncrementalAPIOnStopTheWorld: with budget 0 the incremental driving

@@ -99,19 +99,13 @@ type Config struct {
 	// must free to avoid escalating to a major collection. 0 keeps the
 	// default; a negative value disables escalation.
 	GenMinorFloor float64
-	// TraceWorkers sets the mark-phase worker count for full collections.
-	// 0 or 1 keeps the serial tracers (the paper's configuration; all
-	// published figures use it); >= 2 enables the parallel work-stealing
-	// trace with that many goroutines.
-	TraceWorkers int
 	// IncrementalBudget > 0 enables incremental full collections: the mark
 	// phase runs in slices of that many objects interleaved with mutator
 	// work (StartGC / GCStep / FinishGC, plus a per-allocation tax), behind
 	// a snapshot-at-beginning write barrier, so assertion checks observe
 	// the heap as it was when the cycle began. 0 (the default) keeps the
 	// paper's stop-the-world collections — all published figures use it.
-	// Requires Infrastructure mode; mutually exclusive with
-	// TraceWorkers >= 2 (the incremental worklist is single-threaded).
+	// Requires Infrastructure mode.
 	IncrementalBudget int
 	// ConcurrentGC runs collection on a background pacer goroutine
 	// (concurrent.go): a cycle is triggered when heap occupancy crosses
@@ -120,8 +114,8 @@ type Config struct {
 	// tracer pay bounded assists at their next allocation slow path
 	// instead of stalling for a full collection. Mid-cycle heap growth is
 	// hard-capped at GCTriggerFraction × GCAssistSlack × capacity.
-	// Requires Infrastructure mode; excludes TraceWorkers >= 2; an
-	// IncrementalBudget of 0 defaults to 512. The runtime owns a goroutine
+	// Requires Infrastructure mode; an IncrementalBudget of 0 defaults to
+	// 512. The runtime owns a goroutine
 	// while this is set — call Runtime.Close (after mutators quiesce) to
 	// stop it and surface any background HaltError. Off by default: all
 	// published figures use the paper's synchronous collections.
@@ -376,13 +370,8 @@ func New(cfg Config) *Runtime {
 	} else if cfg.GCTriggerFraction != 0 || cfg.GCAssistSlack != 0 {
 		panic("core: GCTriggerFraction and GCAssistSlack require ConcurrentGC")
 	}
-	if cfg.IncrementalBudget > 0 {
-		if cfg.Mode != Infrastructure {
-			panic("core: IncrementalBudget requires Infrastructure mode")
-		}
-		if cfg.TraceWorkers >= 2 {
-			panic("core: IncrementalBudget excludes TraceWorkers >= 2 (the incremental worklist is single-threaded)")
-		}
+	if cfg.IncrementalBudget > 0 && cfg.Mode != Infrastructure {
+		panic("core: IncrementalBudget requires Infrastructure mode")
 	}
 	if cfg.SweepWorkers < 0 {
 		panic("core: SweepWorkers must not be negative")
@@ -474,13 +463,11 @@ func New(cfg Config) *Runtime {
 	switch cfg.Collector {
 	case MarkSweep:
 		ms := gc.NewMarkSweep(rt.heap, rt.reg, src, cfg.Mode, rt.engine)
-		ms.TraceWorkers = cfg.TraceWorkers
 		ms.IncrementalBudget = cfg.IncrementalBudget
 		ms.ConcurrentPacing = cfg.ConcurrentGC
 		rt.collector = ms
 	case Generational:
 		g := gc.NewGenerational(rt.heap, rt.reg, src, cfg.Mode, rt.engine)
-		g.TraceWorkers = cfg.TraceWorkers
 		g.IncrementalBudget = cfg.IncrementalBudget
 		g.ConcurrentPacing = cfg.ConcurrentGC
 		if cfg.GenMajorEvery > 0 {

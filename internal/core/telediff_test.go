@@ -84,7 +84,6 @@ func TestTelemetryDifferential(t *testing.T) {
 		cfg  Config
 	}{
 		{"marksweep", Config{}},
-		{"marksweep/parallel", Config{TraceWorkers: 4}},
 		{"marksweep/lazy", Config{LazySweep: true}},
 		{"marksweep/buffered", Config{AllocBuffers: 256}},
 		{"generational", Config{Collector: Generational}},

@@ -85,12 +85,6 @@ type Stats struct {
 	SideTabChunkBytes uint64
 	SideTabRollovers  uint64
 
-	// Parallel-trace totals; all zero when TraceWorkers <= 1.
-	ParallelTraces uint64   // collections whose mark phase ran parallel
-	TraceFallbacks uint64   // parallel traces that re-ran serially to report
-	WorkerScans    []uint64 // cumulative objects scanned, by worker index
-	WorkerSteals   []uint64 // cumulative successful steals, by worker index
-
 	// Incremental-mode totals; all zero when IncrementalBudget == 0.
 	IncrementalCycles uint64 // full cycles completed incrementally
 	MarkSlices        uint64 // bounded mark slices executed
@@ -174,26 +168,6 @@ func (s *Stats) addTrace(t trace.Stats) {
 	s.Trace.ForcedRefs += t.ForcedRefs
 }
 
-// addParallel folds one collection's parallel-trace counters into the
-// totals; a no-op for serial traces.
-func (s *Stats) addParallel(ps trace.ParallelStats) {
-	if ps.Workers == 0 {
-		return
-	}
-	s.ParallelTraces++
-	if ps.Fallback {
-		s.TraceFallbacks++
-	}
-	for len(s.WorkerScans) < ps.Workers {
-		s.WorkerScans = append(s.WorkerScans, 0)
-		s.WorkerSteals = append(s.WorkerSteals, 0)
-	}
-	for i, w := range ps.PerWorker {
-		s.WorkerScans[i] += w.Scans
-		s.WorkerSteals[i] += w.Steals
-	}
-}
-
 // Collector is the interface the runtime drives. Collect performs whatever
 // collection the policy calls for (for MarkSweep, always full); CollectFull
 // forces a full-heap collection, which is the only kind that checks
@@ -266,18 +240,10 @@ type MarkSweep struct {
 	mode   Mode
 	stats  Stats
 
-	// TraceWorkers selects the mark phase: <= 1 runs the serial tracers
-	// (the paper's configuration, and the default); >= 2 runs the parallel
-	// work-stealing trace with that many workers. Collections that need an
-	// ownership pre-phase always trace serially — the owner/ownee scan
-	// order is part of the assertion semantics.
-	TraceWorkers int
-
 	// IncrementalBudget > 0 enables incremental full collections: marking
 	// proceeds in slices of that many objects interleaved with mutator
 	// work, behind a snapshot-at-beginning write barrier. 0 (the default)
-	// keeps the paper's stop-the-world collections. Mutually exclusive
-	// with TraceWorkers >= 2 (enforced by core.New).
+	// keeps the paper's stop-the-world collections.
 	IncrementalBudget int
 
 	// ConcurrentPacing hands cycle scheduling to core's background pacer:
@@ -422,27 +388,17 @@ func (c *MarkSweep) CycleMarked() uint64 { return c.tracer.Stats().Visited }
 // Collect implements Collector: every MarkSweep collection is full-heap.
 func (c *MarkSweep) Collect() error { return c.CollectFull() }
 
-// markFull runs the mark phase of a full collection: parallel when the
-// collector asks for workers, serial otherwise. Ownership assertions force
-// the serial path — the owner/ownee pre-phase scan order is part of the
-// assertion semantics and does not parallelize.
-func markFull(t *trace.Tracer, eng *assertions.Engine, src roots.Source, mode Mode, workers int) {
+// markFull runs the mark phase of a full collection: in Infrastructure
+// mode, the ownership pre-phase (when ownership assertions are registered)
+// and then the checking trace; in Base mode, the bare trace.
+func markFull(t *trace.Tracer, eng *assertions.Engine, src roots.Source, mode Mode) {
 	if mode == Infrastructure {
 		eng.BeginCycle()
 		t.SetChecks(eng.Checks())
-		ph := eng.OwnershipPhase()
-		if ph == nil && workers > 1 {
-			t.TraceInfraParallel(src, workers)
-			return
-		}
-		if ph != nil {
+		if ph := eng.OwnershipPhase(); ph != nil {
 			t.RunOwnershipPhase(ph)
 		}
 		t.TraceInfra(src)
-		return
-	}
-	if workers > 1 {
-		t.TraceBaseParallel(src, workers)
 		return
 	}
 	t.TraceBase(src)
@@ -467,7 +423,7 @@ func (c *MarkSweep) CollectFull() error {
 
 	var sweepClear uint64
 	var onFree func(vmheap.Ref, uint64)
-	markFull(c.tracer, c.engine, c.roots, c.mode, c.TraceWorkers)
+	markFull(c.tracer, c.engine, c.roots, c.mode)
 	if c.mode == Infrastructure {
 		c.engine.CheckInstanceLimits()
 		c.engine.PreSweep(func(r vmheap.Ref) bool {
@@ -478,18 +434,13 @@ func (c *MarkSweep) CollectFull() error {
 	}
 
 	ts := c.tracer.Stats()
-	sweepOpts := vmheap.SweepOptions{ClearFlags: sweepClear, OnFree: onFree}
-	if c.TraceWorkers <= 1 {
-		// A serial stop-the-world trace counted every mark, so a lazy sweep
-		// can skip its census walk entirely (vmheap.SweepOptions.MarkedKnown).
-		// The parallel trace's counts are exact too, but the serial gate keeps
-		// the walkless path's correctness argument local to one trace loop.
-		sweepOpts.MarkedKnown = true
-		sweepOpts.MarkedObjects = ts.Visited
-		sweepOpts.MarkedWords = ts.VisitedWords
-	}
+	// The stop-the-world trace counted every mark, so a lazy sweep can skip
+	// its census walk entirely (vmheap.SweepOptions.MarkedKnown).
 	sw := c.stats.timedSweep(leftover, func() vmheap.SweepStats {
-		return c.heap.Sweep(sweepOpts)
+		return c.heap.Sweep(vmheap.SweepOptions{
+			ClearFlags: sweepClear, OnFree: onFree,
+			MarkedKnown: true, MarkedObjects: ts.Visited, MarkedWords: ts.VisitedWords,
+		})
 	})
 
 	elapsed := time.Since(start)
@@ -504,7 +455,6 @@ func (c *MarkSweep) CollectFull() error {
 	c.stats.FreedWords += sw.FreedWords
 	c.stats.LastLiveWords = sw.LiveWords
 	c.stats.addTrace(ts)
-	c.stats.addParallel(c.tracer.ParallelStats())
 
 	if c.mode == Infrastructure {
 		if v := c.engine.Halted(); v != nil {

@@ -42,12 +42,6 @@ type Generational struct {
 	// of the heap, the next collection is major (default 0.10).
 	MinorFloor float64
 
-	// TraceWorkers selects the mark phase of major collections: <= 1 runs
-	// the serial tracers, >= 2 the parallel work-stealing trace. Minor
-	// collections always trace serially (the nursery is small; the
-	// remembered-set walk is not worth a fan-out).
-	TraceWorkers int
-
 	// IncrementalBudget > 0 makes major collections incremental (see
 	// MarkSweep.IncrementalBudget). Minor collections never run while a
 	// major cycle is in flight — a minor sweep would recycle addresses the
@@ -302,7 +296,7 @@ func (c *Generational) CollectFull() error {
 	sweepSet := vmheap.FlagMature
 	var sweepClear uint64
 	var onFree func(vmheap.Ref, uint64)
-	markFull(c.tracer, c.engine, c.roots, c.mode, c.TraceWorkers)
+	markFull(c.tracer, c.engine, c.roots, c.mode)
 	if c.mode == Infrastructure {
 		c.engine.CheckInstanceLimits()
 		c.engine.PreSweep(func(r vmheap.Ref) bool {
@@ -314,19 +308,15 @@ func (c *Generational) CollectFull() error {
 
 	c.dropRememberedSet()
 	ts := c.tracer.Stats()
-	sweepOpts := vmheap.SweepOptions{ClearFlags: sweepClear, SetFlags: sweepSet, OnFree: onFree}
-	if c.TraceWorkers <= 1 {
-		// Same walkless-census gate as MarkSweep.CollectFull: a serial
-		// full-heap trace counted every mark exactly. Minor collections keep
-		// the census — a minor trace never visits mature survivors, so its
-		// totals do not describe the post-sweep live set (and the escalation
-		// policy in Collect needs exact FreedWords regardless).
-		sweepOpts.MarkedKnown = true
-		sweepOpts.MarkedObjects = ts.Visited
-		sweepOpts.MarkedWords = ts.VisitedWords
-	}
+	// The full-heap trace counted every mark, so a lazy sweep skips its
+	// census. Minor collections keep the census: a minor trace never visits
+	// mature survivors, so its totals do not describe the post-sweep live
+	// set (and the escalation policy in Collect needs exact FreedWords).
 	sw := c.stats.timedSweep(leftover, func() vmheap.SweepStats {
-		return c.heap.Sweep(sweepOpts)
+		return c.heap.Sweep(vmheap.SweepOptions{
+			ClearFlags: sweepClear, SetFlags: sweepSet, OnFree: onFree,
+			MarkedKnown: true, MarkedObjects: ts.Visited, MarkedWords: ts.VisitedWords,
+		})
 	})
 
 	elapsed := time.Since(start)
@@ -341,7 +331,6 @@ func (c *Generational) CollectFull() error {
 	c.stats.FreedWords += sw.FreedWords
 	c.stats.LastLiveWords = sw.LiveWords
 	c.stats.addTrace(ts)
-	c.stats.addParallel(c.tracer.ParallelStats())
 	c.minorsSinceMajor = 0
 
 	if c.mode == Infrastructure {

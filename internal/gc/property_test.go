@@ -135,47 +135,38 @@ func TestPropertyCollectionIdempotent(t *testing.T) {
 	}
 }
 
-// Property: mark-bit idempotence holds for both tracers — re-running a
-// full collection with no intervening mutation frees nothing and reports
-// nothing, whether the mark phase is serial or parallel. A parallel trace
-// that left a mark set (or a check that misfired on the re-trace) breaks
-// this immediately.
+// Property: mark-bit idempotence holds for the serial tracer — re-running
+// a full collection with no intervening mutation frees nothing and reports
+// nothing. A trace that left a mark set (or a check that misfired on the
+// re-trace) breaks this immediately.
 func TestPropertyMarkBitIdempotentBothTracers(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		name := "serial"
-		if workers > 1 {
-			name = "parallel"
+	t.Run("serial", func(t *testing.T) {
+		f := func(seed int64) bool {
+			w := buildRandom(t, seed, false)
+			s1 := w.survivors(t)
+			freedBefore := w.c.Stats().FreedObjects
+			violationsBefore := len(w.w.rec.Violations)
+			s2 := w.survivors(t)
+			if w.c.Stats().FreedObjects != freedBefore {
+				return false
+			}
+			if len(w.w.rec.Violations) != violationsBefore {
+				return false
+			}
+			if len(s1) != len(s2) {
+				return false
+			}
+			for r := range s1 {
+				if !s2[r] {
+					return false
+				}
+			}
+			return true
 		}
-		t.Run(name, func(t *testing.T) {
-			f := func(seed int64) bool {
-				w := buildRandom(t, seed, false)
-				w.c.TraceWorkers = workers
-				s1 := w.survivors(t)
-				freedBefore := w.c.Stats().FreedObjects
-				violationsBefore := len(w.w.rec.Violations)
-				s2 := w.survivors(t)
-				if w.c.Stats().FreedObjects != freedBefore {
-					return false
-				}
-				if len(w.w.rec.Violations) != violationsBefore {
-					return false
-				}
-				if len(s1) != len(s2) {
-					return false
-				}
-				for r := range s1 {
-					if !s2[r] {
-						return false
-					}
-				}
-				return true
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-				t.Error(err)
-			}
-		})
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // Property: the heap passes the structural verifier after any collection

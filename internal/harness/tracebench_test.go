@@ -9,12 +9,10 @@ import (
 
 // BenchmarkTraceThroughput measures aggregate marking throughput —
 // marked words per second of collection wall time — on the pseudojbb
-// shape under the three tracing regimes (make tracebench records it in
+// shape under two tracing regimes (make tracebench records it in
 // results/trace_throughput.txt):
 //
 //   - serial: one whole-heap stop-the-world trace (the published mode);
-//   - parallel-N: the work-stealing parallel tracer, N mark workers on
-//     the same whole-heap collection;
 //   - zones-rotate / zones-conc-N: the heap sharded into four zones and
 //     collected by rotation — serialized (GCZones), or with N zone
 //     collections simultaneously in flight (GCZonesConcurrent).
@@ -28,33 +26,25 @@ import (
 // Mwords/s metric is the ROADMAP item 4 baseline: marked volume over
 // collection wall time.
 //
-// Single-core caveat: with GOMAXPROCS=1 the parallel and concurrent-zone
-// variants time-share one CPU, so Mwords/s records their coordination
-// overhead relative to serial, not scaling; the scaling curves need real
-// cores.
+// Single-core caveat: with GOMAXPROCS=1 the concurrent-zone variants
+// time-share one CPU, so Mwords/s records their coordination overhead
+// relative to serial, not scaling; the scaling curves need real cores.
 func BenchmarkTraceThroughput(b *testing.B) {
 	const zones = 4
 	variants := []struct {
-		name    string
-		workers int // TraceWorkers for the whole-heap variants
-		zoned   bool
-		conc    int // GCZonesConcurrent worker count; 0 = serialized GCZones
+		name  string
+		zoned bool
+		conc  int // GCZonesConcurrent worker count; 0 = serialized GCZones
 	}{
-		{name: "serial", workers: 1},
-		{name: "parallel-2", workers: 2},
-		{name: "parallel-4", workers: 4},
-		{name: "zones-rotate", workers: 1, zoned: true},
-		{name: "zones-conc-2", workers: 1, zoned: true, conc: 2},
-		{name: "zones-conc-4", workers: 1, zoned: true, conc: 4},
+		{name: "serial"},
+		{name: "zones-rotate", zoned: true},
+		{name: "zones-conc-2", zoned: true, conc: 2},
+		{name: "zones-conc-4", zoned: true, conc: 4},
 	}
 	for _, v := range variants {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			cfg := core.Config{
-				HeapWords:    1 << 18,
-				Mode:         core.Infrastructure,
-				TraceWorkers: v.workers,
-			}
+			cfg := core.Config{HeapWords: 1 << 18, Mode: core.Infrastructure}
 			if v.zoned {
 				cfg.Zones = zones
 			}

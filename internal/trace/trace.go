@@ -72,7 +72,6 @@ type Tracer struct {
 
 	checks Checks
 	stats  Stats
-	pstats ParallelStats     // last parallel trace (zero when serial)
 	halt   *report.Violation // set when a handler requested Halt
 
 	// incScan is true while an incremental cycle is marking: scans set the
@@ -115,7 +114,7 @@ type Tracer struct {
 	localCounts map[uint32]int64
 
 	// tele, when non-nil, receives a span per marking pass (mark,
-	// mark_parallel, ownership, minor_mark). Nil — the default — costs one
+	// ownership, minor_mark). Nil — the default — costs one
 	// branch per pass, nothing per object.
 	tele *telemetry.Recorder
 }
@@ -157,7 +156,6 @@ func (t *Tracer) Halted() *report.Violation { return t.halt }
 func (t *Tracer) Reset() {
 	t.heap.AssertNoBuffersAll("trace")
 	t.stats = Stats{}
-	t.pstats = ParallelStats{}
 	t.halt = nil
 	t.stack = t.stack[:0]
 	t.incScan = false
@@ -174,7 +172,6 @@ func (t *Tracer) Reset() {
 func (t *Tracer) ResetZone(z *vmheap.Heap) {
 	z.AssertNoBuffers("trace")
 	t.stats = Stats{}
-	t.pstats = ParallelStats{}
 	t.halt = nil
 	t.stack = t.stack[:0]
 	t.incScan = false

@@ -101,3 +101,9 @@ func headerSize(h uint64) uint32 { return uint32(h >> sizeShift & sizeMask) }
 
 // align2 rounds n up to the next multiple of two.
 func align2(n uint32) uint32 { return (n + 1) &^ 1 }
+
+// DecodeClassID extracts the class identifier from a header word.
+func DecodeClassID(header uint64) uint32 { return headerClass(header) }
+
+// DecodeSizeWords extracts the object size in words from a header word.
+func DecodeSizeWords(header uint64) uint32 { return headerSize(header) }

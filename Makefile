@@ -24,10 +24,14 @@ perf:
 	bash perfbench/run.sh --workload jbb-leak
 	bash perfbench/run.sh --workload db-owned
 
-# Sweep-mode microbenchmarks: eager vs parallel vs lazy sweep, and the
-# allocator with and without demand sweeping (see results/lazy_sweep.txt).
+# Sweep-mode microbenchmarks: eager vs lazy sweep, and the allocator with
+# and without demand sweeping (see results/lazy_sweep.txt). The sweep
+# benchmarks refill the heap off-timer before every iteration, so they run
+# a fixed 100 iterations: an auto-scaled b.N for the microsecond-scale
+# LazyArm would spend hours refilling.
 sweepbench:
-	go test -run '^$$' -bench 'BenchmarkSweep|BenchmarkAllocEager|BenchmarkAllocLazy' -benchmem ./internal/vmheap
+	go test -run '^$$' -bench 'BenchmarkSweep' -benchtime 100x -benchmem ./internal/vmheap
+	go test -run '^$$' -bench 'BenchmarkAllocEager|BenchmarkAllocLazy' -benchmem ./internal/vmheap
 
 # Allocation fast-path microbenchmarks: the direct free-list allocator vs
 # bump-pointer buffers across object sizes and buffer sizes, plus the
@@ -92,23 +96,27 @@ slobench:
 		-slo-rps 500 -slo-p99 50ms | tee results/serving_slo.txt
 
 # Differential tests: stop-the-world vs incremental cycles (plus the
-# shadow-model oracle), eager vs parallel vs lazy sweep modes under both
-# collectors, direct vs buffered allocation across every collector mode,
-# telemetry on vs off (recording must be pure observation — byte-identical
-# heaps), and stop-the-world vs background-pacer concurrent collection (same
-# final marked set and assertion verdicts).
+# shadow-model oracle), eager vs lazy sweep modes under both collectors,
+# direct vs buffered allocation across every collector mode, telemetry on vs
+# off (recording must be pure observation — byte-identical heaps),
+# stop-the-world vs background-pacer concurrent collection (same final
+# marked set and assertion verdicts), and whole-heap vs per-zone collection
+# (verdicts, live sets, and remembered-set precision).
 difftest:
 	go test -race -run 'TestIncrementalDifferential|TestOracle' -v ./internal/trace
 	go test -race -run 'TestSweepModesDifferential|TestLazySweep|TestAllocBuffer|TestTelemetry' -v ./internal/core
 	go test -race -run 'TestConcurrentDifferential' -v ./internal/core
+	go test -race -run 'TestZoneDifferential|TestZoneRemsetPrecision' -v ./internal/core
 	go test -race -run 'TestParallelZoneDifferential' -v ./internal/core
 	go test -race -run 'TestSideTabDifferential' -v ./internal/core
 	go test -race -run 'TestStalenessSideTabDifferential' -v ./internal/staleness
 
 # Short coverage-guided fuzz runs: the stop-the-world/incremental
-# equivalence, the eager/parallel/lazy sweep equivalence, and the
-# direct/buffered allocation equivalence (go test takes one -fuzz pattern
-# per invocation, so the targets run sequentially).
+# equivalence, the eager/lazy sweep equivalence, the direct/buffered
+# allocation equivalence, the stop-the-world/pacer equivalence, the zone
+# remembered-set safety bound, and the side tables against map models (go
+# test takes one -fuzz pattern per invocation, so the targets run
+# sequentially).
 fuzz:
 	go test -run '^$$' -fuzz FuzzIncrementalBarrier -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzLazySweep -fuzztime 30s ./internal/core

@@ -49,7 +49,7 @@ func (rt *Runtime) FreeChunks() []vmheap.FreeChunk {
 }
 
 // SetDebugChecks toggles the heap's free-list integrity verification,
-// which then runs after every sweep pass (serial, parallel merge, lazy
+// which then runs after every sweep pass (eager, and lazy
 // completion) and panics on the first violation. Process-wide; the sweep
 // differential and fuzz tests enable it so every sweep self-checks.
 func SetDebugChecks(on bool) { vmheap.DebugChecks = on }

@@ -13,7 +13,7 @@ import (
 // and concurrent rotations collecting 2 and 4 zones simultaneously
 // (GCZonesConcurrent) — and requires identical observable behavior at the
 // final quiescent point: the same live objects by script-assigned id and
-// the same assertion verdicts, across all four collector modes and three
+// the same assertion verdicts, across all three collector modes and three
 // seeds.
 //
 // The comparison leans on the same precision contract as

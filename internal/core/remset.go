@@ -44,7 +44,10 @@ import (
 //     (onFree, installed on each zone by New and chained after the
 //     assertion engine's own hook), which drops entries by source. Only
 //     objects carrying FlagZoneSrc — set by the barrier when the first
-//     cross-zone reference is stored — pay the scan.
+//     cross-zone reference is stored — pay the scan. Under LazySweep the
+//     free observer runs only when the deferred sweep reaches the source,
+//     so purgeDeadSources drops the dead sources' entries as soon as the
+//     collection of their zone has marked.
 //
 //   - the slot is overwritten through the barrier: recordStore deletes the
 //     old target's entry before adding the new one.
@@ -235,13 +238,34 @@ func (rs *remsets) onFree(r Ref, hd uint64) {
 	if hd&vmheap.FlagZoneSrc == 0 {
 		return
 	}
+	rs.dropSources(-1, func(src Ref) bool { return src == r })
+}
+
+// purgeDeadSources drops every entry whose source lives in zone src and did
+// not survive the collection that just marked that zone. vmheap runs it
+// after a lazy sweep of the zone arms (the defer observer), when IsObject
+// already reports the dead sources dead. The caller holds src's zone lock
+// or the world lock, so the liveness test reads headers no sweep is
+// rewriting.
+func (rs *remsets) purgeDeadSources(src int) {
+	rs.dropSources(src, func(s Ref) bool {
+		return rs.heap.ZoneIndexOf(s) == src && !rs.heap.IsObject(s)
+	})
+}
+
+// dropSources deletes, from every zone's set except zone skip, the entries
+// whose source satisfies drop.
+func (rs *remsets) dropSources(skip int, drop func(src Ref) bool) {
 	var stale []uint32
 	for z := range rs.tabs {
+		if z == skip {
+			continue
+		}
 		t := &rs.tabs[z]
 		t.mu.Lock()
 		stale = stale[:0]
 		t.each(func(slot uint32, src Ref) {
-			if src == r {
+			if drop(src) {
 				stale = append(stale, slot)
 			}
 		})
@@ -352,24 +376,7 @@ func (rs *remsets) retirePurge(target int) {
 	t.srcs = nil
 	t.n = 0
 	t.mu.Unlock()
-	var stale []uint32
-	for z := range rs.tabs {
-		if z == target {
-			continue
-		}
-		t := &rs.tabs[z]
-		t.mu.Lock()
-		stale = stale[:0]
-		t.each(func(slot uint32, src Ref) {
-			if rs.heap.ZoneIndexOf(src) == target {
-				stale = append(stale, slot)
-			}
-		})
-		for _, slot := range stale {
-			t.del(slot)
-		}
-		t.mu.Unlock()
-	}
+	rs.dropSources(target, func(src Ref) bool { return rs.heap.ZoneIndexOf(src) == target })
 }
 
 // RemsetEntries returns a raw snapshot of zone's inbound remembered set —

@@ -129,20 +129,13 @@ type Config struct {
 	// mutator completes the cycle instead. 0 defaults to 0.5; must be
 	// positive. Requires ConcurrentGC.
 	GCAssistSlack float64
-	// SweepWorkers sets the sweep-phase worker count. 0 or 1 keeps the
-	// eager serial sweep (the paper's configuration; all published figures
-	// use it, and it is byte-identical to the pre-segmentation code);
-	// >= 2 sweeps the heap's parse ranges with that many goroutines,
-	// merged to the exact heap state the serial sweep produces.
-	SweepWorkers int
 	// LazySweep defers reclamation: a collection ends after the mark phase
 	// plus a header-only census, and each heap segment is actually swept —
 	// assertion-engine bookkeeping included — the first time the allocator
 	// needs a chunk from it, so the post-mark pause drops to near zero.
 	// Statistics, violations, and (once the deferred sweep completes) the
-	// heap itself are identical to the eager mode. Mutually exclusive with
-	// SweepWorkers >= 2 (deferred reclamation is strictly in address
-	// order; there is nothing to fan out).
+	// heap itself are identical to the eager mode (the paper's
+	// configuration, which all published figures use).
 	LazySweep bool
 	// RecordPauses appends every stop-the-world pause to gc.Stats.PauseLog
 	// so reports can compute per-pause percentiles (gcbench -fig sweep).
@@ -373,12 +366,6 @@ func New(cfg Config) *Runtime {
 	if cfg.IncrementalBudget > 0 && cfg.Mode != Infrastructure {
 		panic("core: IncrementalBudget requires Infrastructure mode")
 	}
-	if cfg.SweepWorkers < 0 {
-		panic("core: SweepWorkers must not be negative")
-	}
-	if cfg.LazySweep && cfg.SweepWorkers >= 2 {
-		panic("core: LazySweep excludes SweepWorkers >= 2 (deferred reclamation is strictly in address order)")
-	}
 	if cfg.AllocBuffers < 0 {
 		panic("core: AllocBuffers must not be negative")
 	}
@@ -427,6 +414,9 @@ func New(cfg Config) *Runtime {
 		for i, zh := range rt.zoneHeaps {
 			rt.zones[i] = &Zone{rt: rt, idx: i, h: zh}
 			zh.SetFreeObserver(rt.remsets.onFree)
+			if cfg.LazySweep {
+				zh.SetDeferObserver(func() { rt.remsets.purgeDeadSources(i) })
+			}
 		}
 	} else {
 		rt.heap = vmheap.New(cfg.HeapWords)
@@ -481,7 +471,7 @@ func New(cfg Config) *Runtime {
 		panic(fmt.Sprintf("core: unknown collector kind %d", cfg.Collector))
 	}
 	for _, p := range rt.heap.Peers() {
-		p.SetSweepMode(cfg.SweepWorkers, cfg.LazySweep)
+		p.SetLazySweep(cfg.LazySweep)
 		p.SetTelemetry(rt.tele)
 	}
 	rt.collector.SetTelemetry(rt.tele)

@@ -18,7 +18,7 @@ import (
 // (a region bracket with a deliberate survivor), the owner index
 // (an ownership registration whose ownee is root-reachable outside its
 // owner, firing UnownedOwnee), and instance counting. Both zoned-rotation
-// and whole-heap collection schedules run under all four collector modes.
+// and whole-heap collection schedules run under all three collector modes.
 func TestSideTabDifferential(t *testing.T) {
 	for _, mode := range zoneDiffModes() {
 		for seed := int64(1); seed <= 3; seed++ {

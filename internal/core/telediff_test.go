@@ -87,7 +87,6 @@ func TestTelemetryDifferential(t *testing.T) {
 		{"marksweep/lazy", Config{LazySweep: true}},
 		{"marksweep/buffered", Config{AllocBuffers: 256}},
 		{"generational", Config{Collector: Generational}},
-		{"generational/parsweep", Config{Collector: Generational, SweepWorkers: 2}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,8 +14,8 @@ import (
 // whole-heap collections, and zone-sharded with per-zone rotations
 // (GCZones) — and requires identical observable behavior at the final
 // quiescent point: the same live objects by script-assigned id and the
-// same assertion verdicts, across all four collector modes (serial eager
-// sweep, parallel sweep, lazy sweep, concurrent pacer).
+// same assertion verdicts, across all three collector modes (eager sweep,
+// lazy sweep, concurrent pacer).
 //
 // The comparison is shaped around the rotation's precision contract
 // (see GCZones): the final verdict-producing rotation starts from a
@@ -42,7 +42,7 @@ type zoneMode struct {
 	cfg  func() Config
 }
 
-// zoneDiffModes returns the four collector configurations the zone layer
+// zoneDiffModes returns the three collector configurations the zone layer
 // must behave identically under. Zones require the mark-sweep collector;
 // the modes vary how its sweep and scheduling run.
 func zoneDiffModes() []zoneMode {
@@ -51,7 +51,6 @@ func zoneDiffModes() []zoneMode {
 	}
 	return []zoneMode{
 		{"serial", base},
-		{"parsweep", func() Config { c := base(); c.SweepWorkers = 4; return c }},
 		{"lazysweep", func() Config { c := base(); c.LazySweep = true; return c }},
 		{"concurrent", func() Config {
 			c := base()

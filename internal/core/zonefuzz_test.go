@@ -139,10 +139,7 @@ func zoneRemsetScript(t *testing.T, data []byte) {
 			return report.Continue // retire survivors are expected, not errors
 		}),
 	}
-	switch data[0] % 3 {
-	case 1:
-		cfg.SweepWorkers = 2
-	case 2:
+	if data[0]%3 == 2 {
 		cfg.LazySweep = true
 	}
 	rt := New(cfg)
@@ -277,5 +274,59 @@ func TestZoneRemsetPrecision(t *testing.T) {
 			data[i] = byte(rng.Intn(256))
 		}
 		zoneRemsetScript(t, data)
+	}
+}
+
+// TestLazySweepPurgesDeadRemsetSources pins remembered-set precision under
+// the lazy sweep: once a collection of a source's zone has marked, entries
+// whose source died must be gone, even though the deferred sweep has not yet
+// reached the source's segment (where the free observer would purge them).
+// One script per collection path: whole-heap GC, the serialized rotation,
+// and concurrent zone collections (the source's zone, then the target's).
+func TestLazySweepPurgesDeadRemsetSources(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		collect func(rt *Runtime) error
+	}{
+		{"GC", (*Runtime).GC},
+		{"GCZones", (*Runtime).GCZones},
+		{"ZoneCollect", func(rt *Runtime) error {
+			if err := rt.Zone(1).Collect(); err != nil {
+				return err
+			}
+			return rt.Zone(0).Collect()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := New(Config{HeapWords: 1 << 13, Mode: Infrastructure, Zones: 3, LazySweep: true})
+			th := rt.MainThread()
+			node := rt.DefineClass("Node", RefField("a"), RefField("b"))
+			fr := th.PushFrame(2)
+
+			th.SetZone(rt.Zone(1))
+			a := th.New(node)
+			fr.SetLocal(0, a)
+			th.SetZone(rt.Zone(0))
+			b := th.New(node)
+			fr.SetLocal(1, b)
+			rt.SetRef(a, node.MustFieldIndex("b"), b)
+			if len(rt.RemsetEntries(0)) != 1 {
+				t.Fatalf("cross-zone store left %d zone-0 entries, want 1", len(rt.RemsetEntries(0)))
+			}
+
+			fr.SetLocal(0, Nil) // a's only root
+			if err := tc.collect(rt); err != nil {
+				t.Fatal(err)
+			}
+			if rt.heap.IsObject(a) {
+				t.Fatal("unreachable source survived its zone's collection")
+			}
+			if !rt.heap.SweepPending() {
+				t.Fatal("no lazy sweep pending: the script no longer exercises deferred reclamation")
+			}
+			for z := 0; z < rt.ZoneCount(); z++ {
+				checkRemsetPrecision(t, rt, z)
+			}
+		})
 	}
 }

@@ -104,9 +104,9 @@ type Stats struct {
 	// RecordPauses, when set before the first collection (core.Config
 	// plumbs it through), appends every pause to PauseLog and the sweep
 	// phase of every collection — the post-mark pause portion, which the
-	// lazy and parallel sweep modes exist to shrink — to SweepPauseLog, so
-	// reports can compute per-pause percentiles (gcbench -fig sweep). Off
-	// by default: the published figures never allocate the logs.
+	// lazy sweep mode exists to shrink — to SweepPauseLog, so reports can
+	// compute per-pause percentiles (gcbench -fig sweep). Off by default:
+	// the published figures never allocate the logs.
 	RecordPauses  bool
 	PauseLog      []time.Duration
 	SweepPauseLog []time.Duration

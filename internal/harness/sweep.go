@@ -11,13 +11,11 @@ import (
 )
 
 // Sweep-mode report (gcbench -fig sweep): one workload is run to a fixed
-// iteration count under each sweep mode — eager serial (the published
-// baseline), parallel with each requested worker count, and lazy — with
-// every collection pause recorded. The published figures use the eager
-// sweep; this report is the observability surface for the sweep modes: it
-// shows the parallel mode shrinking the whole pause and the lazy mode moving
-// reclamation out of the pause entirely (paid back as DeferredSweepTime
-// during mutator allocation).
+// iteration count under each sweep mode — eager (the published baseline)
+// and lazy — with every collection pause recorded. The published figures
+// use the eager sweep; this report is the observability surface for the
+// lazy mode: it shows reclamation moving out of the pause entirely (paid
+// back as DeferredSweepTime during mutator allocation).
 
 // SweepReportConfig shapes one sweep-mode comparison.
 type SweepReportConfig struct {
@@ -29,8 +27,6 @@ type SweepReportConfig struct {
 	HeapWords int
 	// Iterations is the number of workload iterations per mode.
 	Iterations int
-	// Workers lists the parallel worker counts to measure.
-	Workers []int
 	// Collector selects the collector; the pause structure differs (the
 	// generational collector sweeps only the nursery on minor collections).
 	Collector core.CollectorKind
@@ -42,13 +38,12 @@ var DefaultSweepReport = SweepReportConfig{
 	Workload:   "pseudojbb",
 	HeapWords:  1 << 19,
 	Iterations: 800,
-	Workers:    []int{2, 4},
 	Collector:  core.MarkSweep,
 }
 
 // SweepRow is the pause distribution of one sweep mode.
 type SweepRow struct {
-	// Mode is "eager", "parallel-N" or "lazy".
+	// Mode is "eager" or "lazy".
 	Mode string
 	// Collections and Pauses observed (every recorded collection pause).
 	Collections uint64
@@ -73,7 +68,7 @@ type SweepRow struct {
 
 // runSweepMode runs the configured workload once under one sweep mode and
 // collects its pause distribution.
-func runSweepMode(cfg SweepReportConfig, mode string, workers int, lazy bool) SweepRow {
+func runSweepMode(cfg SweepReportConfig, mode string, lazy bool) SweepRow {
 	f := workloads.ByName(cfg.Workload)
 	if f == nil {
 		panic(fmt.Sprintf("harness: unknown workload %q", cfg.Workload))
@@ -87,7 +82,6 @@ func runSweepMode(cfg SweepReportConfig, mode string, workers int, lazy bool) Sw
 		HeapWords:    heapWords,
 		Mode:         core.Base,
 		Collector:    cfg.Collector,
-		SweepWorkers: workers,
 		LazySweep:    lazy,
 		RecordPauses: true,
 	})
@@ -123,18 +117,10 @@ func runSweepMode(cfg SweepReportConfig, mode string, workers int, lazy bool) Sw
 
 // RunSweepReport measures the workload under every sweep mode.
 func RunSweepReport(cfg SweepReportConfig, progress func(string)) []SweepRow {
-	type mode struct {
-		name    string
-		workers int
-		lazy    bool
-	}
-	modes := []mode{{"eager", 0, false}}
-	for _, n := range cfg.Workers {
-		if n >= 2 {
-			modes = append(modes, mode{fmt.Sprintf("parallel-%d", n), n, false})
-		}
-	}
-	modes = append(modes, mode{"lazy", 0, true})
+	modes := []struct {
+		name string
+		lazy bool
+	}{{"eager", false}, {"lazy", true}}
 
 	rows := make([]SweepRow, 0, len(modes))
 	for _, m := range modes {
@@ -143,8 +129,8 @@ func RunSweepReport(cfg SweepReportConfig, progress func(string)) []SweepRow {
 		}
 		// One untimed priming run per mode, for the same reason Measure
 		// primes: first-window CPU ramp-up would bias the eager baseline.
-		runSweepMode(cfg, m.name, m.workers, m.lazy)
-		rows = append(rows, runSweepMode(cfg, m.name, m.workers, m.lazy))
+		runSweepMode(cfg, m.name, m.lazy)
+		rows = append(rows, runSweepMode(cfg, m.name, m.lazy))
 	}
 	return rows
 }

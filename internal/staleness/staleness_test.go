@@ -229,7 +229,7 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 
 // TestStalenessSideTabDifferential runs one deterministic access script
 // against two trackers — dense side tables and the map-backed reference —
-// over identically-driven runtimes across the four collector modes and
+// over identically-driven runtimes across the three collector modes and
 // three seeds, and requires identical suspect lists (refs, classes, idle
 // epochs, order) and table sizes after every Advance.
 func TestStalenessSideTabDifferential(t *testing.T) {
@@ -239,9 +239,6 @@ func TestStalenessSideTabDifferential(t *testing.T) {
 	}{
 		{"serial", func() core.Config {
 			return core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure}
-		}},
-		{"parsweep", func() core.Config {
-			return core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure, SweepWorkers: 4}
 		}},
 		{"lazysweep", func() core.Config {
 			return core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure, LazySweep: true}

@@ -48,7 +48,7 @@ const (
 	PhaseOwnership
 	// PhaseMinorMark is a generational minor (nursery) trace.
 	PhaseMinorMark
-	// PhaseSweep is one sweep pass (eager, parallel, or the lazy census).
+	// PhaseSweep is one sweep pass (eager, or the lazy census or arm).
 	PhaseSweep
 	// PhaseLazySegment is one deferred segment sweep performed on
 	// allocation demand under the lazy sweep mode.

@@ -3,7 +3,7 @@ package vmheap
 import "fmt"
 
 // DebugChecks enables free-list integrity verification after every sweep
-// pass (serial, parallel merge, and lazy completion). Off by default — the
+// pass (eager, and lazy completion). Off by default — the
 // check walks every free list, which would distort the pause measurements
 // the sweep modes exist to improve. Tests flip it through the runtime's
 // debug toggle (core.SetDebugChecks); it is a plain bool because the heap
@@ -79,4 +79,13 @@ func (h *Heap) debugCheck() {
 	if errs := h.CheckFreeLists(); len(errs) > 0 {
 		panic(errs[0])
 	}
+}
+
+// binIndex maps a chunk size to its bin, with the large list at index
+// numExactBins.
+func binIndex(size uint32) int {
+	if b := binFor(size); b >= 0 {
+		return b
+	}
+	return numExactBins
 }

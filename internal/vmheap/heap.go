@@ -78,16 +78,21 @@ type Heap struct {
 	// Sweep segmentation (segment.go). segBounds is the parse-range table
 	// recorded by the last sweep: segBounds[i] is the first chunk header at
 	// or above the nominal base i*segWords, and the final entry is the
-	// arena end. segScratch double-buffers the rebuild. sweepWorkers and
-	// lazySweep select the mode (SetSweepMode); lazy holds the deferred
-	// state of a pending lazy sweep.
-	segWords     uint32
-	segBounds    []Ref
-	segScratch   []Ref
-	sweepWorkers int
-	lazySweep    bool
-	lazy         lazyState
-	sweepStats   SweepModeStats
+	// arena end. segScratch double-buffers the rebuild. lazySweep selects
+	// the mode (SetLazySweep); lazy holds the deferred state of a pending
+	// lazy sweep.
+	segWords   uint32
+	segBounds  []Ref
+	segScratch []Ref
+	// deferObs, when non-nil, runs after every sweep of this zone that
+	// defers reclamation (the lazy census or arm), once IsObject already
+	// judges the zone's dead objects dead but before freeObs has seen any
+	// of them. The zoned lazy runtime installs its remembered-set
+	// dead-source purge here. Nil — the default — costs nothing.
+	deferObs   func()
+	lazySweep  bool
+	lazy       lazyState
+	sweepStats SweepModeStats
 
 	// tele, when non-nil, receives sweep-phase spans, deferred-segment
 	// spans, and buffer carve/retire events (core wires it from

@@ -7,26 +7,19 @@ package vmheap
 // the heap has actually been in. Between sweeps chunk boundaries only
 // subdivide — Alloc splits chunks, never merges them — so a recorded
 // boundary stays a valid header until the next sweep coalesces across it.
-// That invariant is what lets later sweeps start parsing mid-heap:
-//
-//   - parallel sweep: workers claim whole ranges from the previous sweep's
-//     table and parse them independently; boundary-crossing free runs are
-//     stitched by a serial merge.
-//   - lazy sweep: the collection-time pause shrinks to a census (a
-//     header-only walk that computes exact sweep statistics and a fresh
-//     table) and the real reclamation happens one range at a time, on
-//     demand, when the allocator runs out of swept chunks.
+// That invariant is what lets the lazy sweep start parsing mid-heap: the
+// collection-time pause shrinks to a census (a header-only walk that
+// computes exact sweep statistics and a fresh table) — or, when the trace
+// hands over exact marked totals, to no walk at all — and the real
+// reclamation happens one range at a time, on demand, when the allocator
+// runs out of swept chunks.
 //
 // Lazy ranges are swept in strictly ascending address order with the open
 // free run carried across range boundaries, so a completed lazy sweep
-// coalesces — and installs free chunks — exactly like the eager serial
-// sweep. The parallel merge reconstructs the same property from per-range
-// pieces; see sweepParallel.
+// coalesces — and installs free chunks — exactly like the eager sweep.
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -80,13 +73,9 @@ type lazyState struct {
 	rec boundsRec
 }
 
-// SweepModeStats counts activity specific to the non-default sweep modes.
-// All fields stay zero under the eager serial default.
+// SweepModeStats counts activity specific to the lazy sweep. All fields
+// stay zero under the eager default.
 type SweepModeStats struct {
-	// ParallelSweeps counts sweep passes that fanned out to workers (a
-	// parallel-mode sweep over a single-range table degenerates to the
-	// serial walk and is not counted).
-	ParallelSweeps uint64
 	// LazySweeps counts sweep passes deferred by lazy mode (census only).
 	LazySweeps uint64
 	// DemandSegments counts parse ranges swept on demand by the allocator;
@@ -121,24 +110,17 @@ func (h *Heap) initSegments() {
 // numSegments returns the number of parse ranges in the table.
 func (h *Heap) numSegments() int { return len(h.segBounds) - 1 }
 
-// SetSweepMode selects the reclamation strategy for subsequent sweeps:
-// workers >= 2 sweeps parse ranges in parallel; lazy defers reclamation to
-// segment-at-a-time on-demand sweeps. The two are mutually exclusive (a
-// deferred sweep reclaims strictly in address order; there is nothing to
-// fan out). The default (workers <= 1, lazy false) is the eager serial
-// sweep the published figures use.
-func (h *Heap) SetSweepMode(workers int, lazy bool) {
-	if workers >= 2 && lazy {
-		panic("vmheap: lazy sweep excludes parallel sweep workers")
-	}
+// SetLazySweep selects the reclamation strategy for subsequent sweeps: lazy
+// defers reclamation to segment-at-a-time on-demand sweeps. The default
+// (false) is the eager sweep the published figures use.
+func (h *Heap) SetLazySweep(lazy bool) {
 	if h.lazy.pending {
-		panic("vmheap: SetSweepMode during a pending lazy sweep")
+		panic("vmheap: SetLazySweep during a pending lazy sweep")
 	}
-	h.sweepWorkers = workers
 	h.lazySweep = lazy
 }
 
-// SweepModeStats returns the lazy/parallel sweep counters.
+// SweepModeStats returns the lazy sweep counters.
 func (h *Heap) SweepModeStats() SweepModeStats { return h.sweepStats }
 
 // SweepPending reports whether a lazy sweep has unswept ranges outstanding
@@ -223,7 +205,7 @@ type boundsRec struct {
 	segW uint32
 	base uint32 // zone anchor: lo - heapBase (0 when unzoned)
 	next int    // next range index to assign
-	lim  int    // first range index not owned by this recorder
+	lim  int    // number of ranges in the table
 }
 
 func (b *boundsRec) note(addr uint32) {
@@ -436,315 +418,4 @@ func (h *Heap) sweepSegment(demand bool) bool {
 	h.sweepStats.DeferredSweepTime += elapsed
 	h.tele.Span(telemetry.PhaseLazySegment, elapsed)
 	return true
-}
-
-// --- parallel sweep ------------------------------------------------------
-
-// freeRun is a maximal run of free words.
-type freeRun struct {
-	start uint32
-	words uint32
-}
-
-// hookEvent is a deferred OnFree/OnLive call recorded by a worker; the
-// merge replays events in ascending address order, matching the serial
-// sweep's call order exactly.
-type hookEvent struct {
-	ref  Ref
-	hd   uint64
-	live bool
-}
-
-// rangeResult is one worker's output for one parse range. Free runs that
-// touch the range boundary are not installed by the worker — they may
-// coalesce with a neighbor — and are stitched by the serial merge.
-type rangeResult struct {
-	// Per-bin local lists of interior chunks (index numExactBins = large
-	// list). Installed in ascending address order via push-front, so each
-	// list is descending by address, like the serial sweep's bins.
-	binHead [numExactBins + 1]Ref
-	binTail [numExactBins + 1]Ref
-	chunks  uint64 // interior chunks installed locally
-
-	live, liveWords   uint64
-	freed, freedWords uint64
-
-	head     freeRun // run starting exactly at the range start (len 0 = none)
-	tail     freeRun // run ending exactly at the range end (disjoint from head)
-	fullFree bool    // head covers the entire range
-	events   []hookEvent
-}
-
-// binIndex maps a chunk size to its bin, with the large list at index
-// numExactBins.
-func binIndex(size uint32) int {
-	if b := binFor(size); b >= 0 {
-		return b
-	}
-	return numExactBins
-}
-
-// sweepRange parses [start,end) — both are chunk boundaries from the
-// previous sweep's table — rewriting survivor headers and collecting free
-// chunks into res. Writes stay inside the range, so ranges can be swept
-// concurrently.
-func (h *Heap) sweepRange(res *rangeResult, start, end uint32, opts SweepOptions, rec *boundsRec) {
-	wantEvents := opts.OnFree != nil || opts.OnLive != nil
-	runStart, runLen := uint32(0), uint32(0)
-
-	flush := func() {
-		if runLen == 0 {
-			return
-		}
-		if runStart == start {
-			res.head = freeRun{runStart, runLen}
-		} else {
-			rec.note(runStart)
-			h.words[runStart] = makeHeader(KindScalar, 0, runLen) | FlagFree
-			b := binIndex(runLen)
-			h.words[runStart+freeNextSlot] = uint64(res.binHead[b])
-			res.binHead[b] = Ref(runStart)
-			if res.binTail[b] == Nil {
-				res.binTail[b] = Ref(runStart)
-			}
-			res.chunks++
-		}
-		runStart, runLen = 0, 0
-	}
-
-	addr := start
-	for addr < end {
-		hd := h.words[addr]
-		size := headerSize(hd)
-		if size == 0 || addr+size > end {
-			panic(fmt.Sprintf("vmheap: corrupt header at %d during parallel sweep: %#x", addr, hd))
-		}
-		switch {
-		case hd&FlagFree != 0:
-			if runLen == 0 {
-				runStart = addr
-			}
-			runLen += size
-
-		case hd&FlagMark != 0 || (opts.Immature && hd&FlagMature != 0):
-			if wantEvents && opts.OnLive != nil {
-				res.events = append(res.events, hookEvent{Ref(addr), hd, true})
-			}
-			h.words[addr] = (hd &^ (FlagMark | opts.ClearFlags)) | opts.SetFlags
-			res.live++
-			res.liveWords += uint64(size)
-			flush()
-			rec.note(addr)
-
-		default:
-			if wantEvents && opts.OnFree != nil {
-				res.events = append(res.events, hookEvent{Ref(addr), hd, false})
-			}
-			if runLen == 0 {
-				runStart = addr
-			}
-			runLen += size
-			res.freed++
-			res.freedWords += uint64(size)
-		}
-		addr += size
-	}
-	if runLen != 0 {
-		if runStart == start {
-			res.head = freeRun{runStart, runLen}
-			res.fullFree = true
-		} else {
-			res.tail = freeRun{runStart, runLen}
-		}
-	}
-}
-
-// workerBoundsRec scopes a recorder to the range [start,end): it may assign
-// exactly the table entries whose nominal base falls inside the range.
-func (h *Heap) workerBoundsRec(start, end uint32) boundsRec {
-	segW := h.segWords
-	base := h.lo - heapBase
-	first := int((start - base + segW - 1) / segW)
-	lim := int((end - base + segW - 1) / segW)
-	return boundsRec{out: h.segScratch, segW: segW, base: base, next: first, lim: lim}
-}
-
-// sweepParallel fans the sweep out over the parse ranges recorded by the
-// previous sweep and merges the per-range results into the very heap state
-// the serial sweep would have produced: identical headers, identical free
-// lists (same bins, same order, same next links), identical statistics, and
-// hooks replayed in the serial call order. The differential tests rely on
-// this byte-for-byte equivalence. The first sweep after New has a
-// single-range table and degenerates to the serial walk.
-func (h *Heap) sweepParallel(opts SweepOptions) SweepStats {
-	type span struct{ start, end uint32 }
-	spans := make([]span, 0, h.numSegments())
-	for i := 0; i < h.numSegments(); i++ {
-		if h.segBounds[i] < h.segBounds[i+1] {
-			spans = append(spans, span{uint32(h.segBounds[i]), uint32(h.segBounds[i+1])})
-		}
-	}
-	nw := h.sweepWorkers
-	if nw > len(spans) {
-		nw = len(spans)
-	}
-	if nw <= 1 {
-		return h.sweepSerial(opts)
-	}
-	h.sweepStats.ParallelSweeps++
-	h.resetFreeLists()
-	for i := range h.segScratch {
-		h.segScratch[i] = 0
-	}
-
-	results := make([]rangeResult, len(spans))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(spans) {
-					return
-				}
-				rec := h.workerBoundsRec(spans[i].start, spans[i].end)
-				h.sweepRange(&results[i], spans[i].start, spans[i].end, opts, &rec)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Replay deferred hooks in ascending address order — ranges ascend and
-	// each worker recorded its events in walk order, so this is exactly the
-	// serial sweep's call sequence.
-	if opts.OnFree != nil || opts.OnLive != nil {
-		for i := range results {
-			for _, ev := range results[i].events {
-				if ev.live {
-					if opts.OnLive != nil {
-						opts.OnLive(ev.ref, ev.hd)
-					}
-				} else if opts.OnFree != nil {
-					opts.OnFree(ev.ref, ev.hd)
-				}
-			}
-		}
-	}
-
-	// Stitch boundary-touching free runs across ranges (ascending). A tail
-	// run always ends exactly at the next range's start, so adjacency is
-	// implied by the open run being non-empty.
-	var st SweepStats
-	runs := make([]freeRun, 0, len(spans))
-	var open freeRun
-	for i := range results {
-		res := &results[i]
-		st.LiveObjects += res.live
-		st.LiveWords += res.liveWords
-		st.FreedObjects += res.freed
-		st.FreedWords += res.freedWords
-		st.FreeChunks += res.chunks
-		if res.fullFree {
-			if open.words != 0 {
-				open.words += res.head.words
-			} else {
-				open = res.head
-			}
-			continue
-		}
-		if res.head.words != 0 {
-			if open.words != 0 {
-				open.words += res.head.words
-				runs = append(runs, open)
-				open = freeRun{}
-			} else {
-				runs = append(runs, res.head)
-			}
-		} else if open.words != 0 {
-			runs = append(runs, open)
-			open = freeRun{}
-		}
-		if res.tail.words != 0 {
-			open = res.tail
-		}
-	}
-	if open.words != 0 {
-		runs = append(runs, open)
-	}
-	st.FreeChunks += uint64(len(runs))
-
-	// Rebuild the global free lists by appending chunks in descending
-	// address order: the serial sweep's ascending push-front produces
-	// descending lists, so appending descending yields identical lists —
-	// same heads, same next links, same Nil terminator on the lowest chunk.
-	var accHead, accTail [numExactBins + 1]Ref
-	appendChunk := func(addr Ref, size uint32) {
-		b := binIndex(size)
-		h.words[uint32(addr)+freeNextSlot] = uint64(Nil)
-		if accTail[b] == Nil {
-			accHead[b] = addr
-		} else {
-			h.words[uint32(accTail[b])+freeNextSlot] = uint64(addr)
-		}
-		accTail[b] = addr
-	}
-	ri := len(runs) - 1
-	for i := len(results) - 1; i >= 0; i-- {
-		res := &results[i]
-		if res.tail.words != 0 && ri >= 0 && runs[ri].start == res.tail.start {
-			h.words[runs[ri].start] = makeHeader(KindScalar, 0, runs[ri].words) | FlagFree
-			appendChunk(Ref(runs[ri].start), runs[ri].words)
-			ri--
-		}
-		for b := 0; b <= numExactBins; b++ {
-			if head := res.binHead[b]; head != Nil {
-				if accTail[b] == Nil {
-					accHead[b] = head
-				} else {
-					h.words[uint32(accTail[b])+freeNextSlot] = uint64(head)
-				}
-				accTail[b] = res.binTail[b]
-			}
-		}
-		if (res.head.words != 0 || res.fullFree) && ri >= 0 && runs[ri].start == spans[i].start {
-			h.words[runs[ri].start] = makeHeader(KindScalar, 0, runs[ri].words) | FlagFree
-			appendChunk(Ref(runs[ri].start), runs[ri].words)
-			ri--
-		}
-	}
-	if ri != -1 {
-		panic("vmheap: parallel sweep merge failed to place every stitched free run")
-	}
-	h.binOcc = 0
-	for b := 0; b < numExactBins; b++ {
-		h.bins[b] = accHead[b]
-		if accHead[b] != Nil {
-			h.binOcc |= 1 << uint(b)
-		}
-	}
-	h.largeBin = accHead[numExactBins]
-
-	// Ranges the workers recorded no header in (they were interior to a
-	// stitched run) inherit the next range's first header; the zone end
-	// backstops the tail. The first chunk of a swept zone is always at its
-	// lo boundary.
-	carry := Ref(h.hi)
-	for s := h.numSegments() - 1; s >= 0; s-- {
-		if h.segScratch[s] == 0 {
-			h.segScratch[s] = carry
-		} else {
-			carry = h.segScratch[s]
-		}
-	}
-	h.segScratch[0] = Ref(h.lo)
-	h.segScratch[h.numSegments()] = Ref(h.hi)
-	h.segBounds, h.segScratch = h.segScratch, h.segBounds
-
-	h.liveObjs = st.LiveObjects
-	h.liveWords = st.LiveWords
-	h.freeWords = h.capLocal() - st.LiveWords
-	h.debugCheck()
-	return st
 }

@@ -11,23 +11,22 @@ import (
 // starting states.
 func cloneHeap(h *Heap) *Heap {
 	c := &Heap{
-		words:        append([]uint64(nil), h.words...),
-		lo:           h.lo,
-		hi:           h.hi,
-		zoneID:       h.zoneID,
-		bins:         h.bins,
-		largeBin:     h.largeBin,
-		liveWords:    h.liveWords,
-		freeWords:    h.freeWords,
-		liveObjs:     h.liveObjs,
-		allocCount:   h.allocCount,
-		allocWords:   h.allocWords,
-		segWords:     h.segWords,
-		segBounds:    append([]Ref(nil), h.segBounds...),
-		segScratch:   append([]Ref(nil), h.segScratch...),
-		sweepWorkers: h.sweepWorkers,
-		lazySweep:    h.lazySweep,
-		lazy:         h.lazy,
+		words:      append([]uint64(nil), h.words...),
+		lo:         h.lo,
+		hi:         h.hi,
+		zoneID:     h.zoneID,
+		bins:       h.bins,
+		largeBin:   h.largeBin,
+		liveWords:  h.liveWords,
+		freeWords:  h.freeWords,
+		liveObjs:   h.liveObjs,
+		allocCount: h.allocCount,
+		allocWords: h.allocWords,
+		segWords:   h.segWords,
+		segBounds:  append([]Ref(nil), h.segBounds...),
+		segScratch: append([]Ref(nil), h.segScratch...),
+		lazySweep:  h.lazySweep,
+		lazy:       h.lazy,
 	}
 	c.lazy.state = append([]segState(nil), h.lazy.state...)
 	c.peers = []*Heap{c}
@@ -168,29 +167,10 @@ func runSweepCycles(t *testing.T, label string, a, b *Heap, n int) {
 	}
 }
 
-func TestParallelSweepByteIdentical(t *testing.T) {
-	for _, workers := range []int{2, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			a, _ := buildMixedHeap(t, 1<<16, 42)
-			b := cloneHeap(a)
-			b.SetSweepMode(workers, false)
-			// Cycle 0 exercises the single-range degenerate case (the first
-			// sweep has no prior table); later cycles fan out for real.
-			runSweepCycles(t, "parallel", a, b, 4)
-			if b.SweepModeStats().ParallelSweeps == 0 {
-				t.Error("no sweep actually ran parallel")
-			}
-			if a.SweepModeStats().ParallelSweeps != 0 {
-				t.Error("eager heap recorded parallel sweeps")
-			}
-		})
-	}
-}
-
 func TestLazySweepCompletionByteIdentical(t *testing.T) {
 	a, _ := buildMixedHeap(t, 1<<16, 7)
 	b := cloneHeap(a)
-	b.SetSweepMode(0, true)
+	b.SetLazySweep(true)
 	runSweepCycles(t, "lazy", a, b, 4)
 	st := b.SweepModeStats()
 	if st.LazySweeps != 4 {
@@ -211,7 +191,7 @@ func TestLazySweepImmatureMode(t *testing.T) {
 		}
 	}
 	b := cloneHeap(a)
-	b.SetSweepMode(0, true)
+	b.SetLazySweep(true)
 	objs := liveRefs(a)
 	markEvery(a, objs, 5, 0)
 	markEvery(b, objs, 5, 0)
@@ -227,7 +207,7 @@ func TestLazySweepImmatureMode(t *testing.T) {
 
 func TestLazySweepDemandAllocation(t *testing.T) {
 	h, refs := buildMixedHeap(t, 1<<16, 3)
-	h.SetSweepMode(0, true)
+	h.SetLazySweep(true)
 	markEvery(h, refs, 2, 0)
 	st := h.Sweep(SweepOptions{})
 	if !h.SweepPending() {
@@ -272,7 +252,7 @@ func TestLazySweepDemandAllocation(t *testing.T) {
 
 func TestLazyIsObjectUsesCensusVerdict(t *testing.T) {
 	h, refs := buildMixedHeap(t, 1<<16, 5)
-	h.SetSweepMode(0, true)
+	h.SetLazySweep(true)
 	// Mark only the low half so the unswept tail holds plenty of garbage.
 	for i, r := range refs {
 		if i < len(refs)/2 {
@@ -306,7 +286,7 @@ func TestLazyIsObjectUsesCensusVerdict(t *testing.T) {
 
 func TestSegmentStateMachine(t *testing.T) {
 	h, refs := buildMixedHeap(t, 1<<16, 13)
-	h.SetSweepMode(0, true)
+	h.SetLazySweep(true)
 	markEvery(h, refs, 2, 0)
 	h.Sweep(SweepOptions{})
 
@@ -346,7 +326,7 @@ func TestSegmentStateMachine(t *testing.T) {
 
 func TestSweepPanicsWithPendingLazySweep(t *testing.T) {
 	h, refs := buildMixedHeap(t, 1<<16, 17)
-	h.SetSweepMode(0, true)
+	h.SetLazySweep(true)
 	markEvery(h, refs, 2, 0)
 	h.Sweep(SweepOptions{})
 	defer func() {
@@ -359,7 +339,7 @@ func TestSweepPanicsWithPendingLazySweep(t *testing.T) {
 
 func TestPendingPromotion(t *testing.T) {
 	h, refs := buildMixedHeap(t, 1<<16, 19)
-	h.SetSweepMode(0, true)
+	h.SetLazySweep(true)
 	markEvery(h, refs, 2, 0)
 	h.Sweep(SweepOptions{SetFlags: FlagMature}) // major-collection shaped
 	frontier := h.segBounds[h.lazy.next]
@@ -396,17 +376,15 @@ func TestPendingPromotion(t *testing.T) {
 
 func TestBoundsArePartitionHeaders(t *testing.T) {
 	for _, mode := range []struct {
-		name    string
-		workers int
-		lazy    bool
+		name string
+		lazy bool
 	}{
-		{"eager", 0, false},
-		{"parallel", 4, false},
-		{"lazy", 0, true},
+		{"eager", false},
+		{"lazy", true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			h, _ := buildMixedHeap(t, 1<<16, 23)
-			h.SetSweepMode(mode.workers, mode.lazy)
+			h.SetLazySweep(mode.lazy)
 			for cycle := 0; cycle < 3; cycle++ {
 				objs := liveRefs(h)
 				markEvery(h, objs, 2, 0)
@@ -486,16 +464,6 @@ func TestFreeChunksMatchesIterator(t *testing.T) {
 	}
 }
 
-func TestSetSweepModeRejectsLazyParallel(t *testing.T) {
-	h := New(1024)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetSweepMode(2, true) did not panic")
-		}
-	}()
-	h.SetSweepMode(2, true)
-}
-
 // TestLazySweepWalklessArm drives the census-skipping lazy arm directly: the
 // caller supplies exact marked totals (as the serial collectors do from their
 // trace statistics) and the sweep must report the same statistics as the
@@ -504,7 +472,7 @@ func TestSetSweepModeRejectsLazyParallel(t *testing.T) {
 func TestLazySweepWalklessArm(t *testing.T) {
 	a, _ := buildMixedHeap(t, 1<<16, 99)
 	b := cloneHeap(a)
-	b.SetSweepMode(0, true)
+	b.SetLazySweep(true)
 
 	for cycle := 0; cycle < 4; cycle++ {
 		objs := liveRefs(a)
@@ -554,7 +522,7 @@ func TestLazySweepWalklessArm(t *testing.T) {
 // statistic to propagate.
 func TestWalklessArmRejectsBogusTotals(t *testing.T) {
 	h, _ := buildMixedHeap(t, 1<<14, 3)
-	h.SetSweepMode(0, true)
+	h.SetLazySweep(true)
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic on marked totals exceeding heap accounting")

@@ -42,10 +42,10 @@ type SweepOptions struct {
 	// product derives from the totals, and the previous sweep's parse-range
 	// table is still valid for the deferred reclamation (allocation only
 	// subdivides chunks between sweeps) — making the post-mark pause
-	// O(1). Ignored by the eager and parallel sweeps, which compute the
-	// same statistics from their own heap walk, and by Immature sweeps
-	// (a minor trace does not visit mature survivors, so the totals do
-	// not describe the post-sweep live set).
+	// O(1). Ignored by the eager sweep, which computes the same
+	// statistics from its own heap walk, and by Immature sweeps (a minor
+	// trace does not visit mature survivors, so the totals do not describe
+	// the post-sweep live set).
 	MarkedKnown   bool
 	MarkedObjects uint64
 	MarkedWords   uint64
@@ -54,10 +54,9 @@ type SweepOptions struct {
 // Sweep performs the sweep phase of a mark-sweep collection. Under the
 // default mode it walks the heap linearly, reclaims every unmarked object,
 // coalesces adjacent free chunks, rebuilds the free lists from scratch, and
-// clears the mark bit on survivors. SetSweepMode selects two alternatives:
-// a parallel sweep over the parse ranges recorded by the previous pass, and
-// a lazy sweep that runs only a census here and defers reclamation to
-// on-demand per-range sweeps (segment.go). All three modes return identical
+// clears the mark bit on survivors. SetLazySweep selects the alternative: a
+// lazy sweep that runs only a census here and defers reclamation to
+// on-demand per-range sweeps (segment.go). Both modes return identical
 // statistics and — once a lazy sweep completes — leave identical heaps.
 //
 // Sweep assumes a trace has just run: surviving objects have FlagMark set.
@@ -113,8 +112,9 @@ func (h *Heap) ZoneSweep(opts SweepOptions) SweepStats {
 		} else {
 			st = h.sweepCensus(opts)
 		}
-	case h.sweepWorkers >= 2:
-		st = h.sweepParallel(opts)
+		if h.deferObs != nil {
+			h.deferObs()
+		}
 	default:
 		st = h.sweepSerial(opts)
 	}
@@ -123,7 +123,7 @@ func (h *Heap) ZoneSweep(opts SweepOptions) SweepStats {
 }
 
 // sweepSerial is the eager linear sweep (the published configuration, and
-// the body every other mode is defined against).
+// the body the lazy mode is defined against).
 func (h *Heap) sweepSerial(opts SweepOptions) SweepStats {
 	var st SweepStats
 	h.resetFreeLists()

@@ -8,7 +8,7 @@ import "fmt"
 // globally addressable — a Ref is still an absolute arena index, and every
 // peer's accessors work on any zone's objects — so cross-zone references
 // are ordinary stores, but allocation, sweeping, and bulk retirement are
-// zone-local: one zone can run a full sweep (serial, parallel, or lazy)
+// zone-local: one zone can run a full sweep (eager or lazy)
 // while the other zones' allocation buffers stay active, which is the
 // pause-isolation property the zoned runtime is built on.
 
@@ -133,6 +133,10 @@ func (h *Heap) ArraySlotIndex(arr Ref, i uint32) uint32 {
 // zone's sweeps (after the sweep's own OnFree hook). nil uninstalls. The
 // zoned runtime installs the remembered-set purger on every zone.
 func (h *Heap) SetFreeObserver(fn func(Ref, uint64)) { h.freeObs = fn }
+
+// SetDeferObserver installs fn to run after each sweep of this zone that
+// defers reclamation to the lazy sweep. nil uninstalls.
+func (h *Heap) SetDeferObserver(fn func()) { h.deferObs = fn }
 
 // chainFreeObserver appends this zone's free observer to onFree.
 func (h *Heap) chainFreeObserver(onFree func(Ref, uint64)) func(Ref, uint64) {

@@ -74,12 +74,12 @@ parzonebench:
 
 # Assertion-overhead report: per-assertion-kind collection throughput with
 # the engine unarmed vs armed (dead, region, unshared, owned), plus the
-# staleness profiler's Touch cost and Advance pause — each under the dense
-# epoch-stamped side tables and the map[Ref] reference implementation
+# staleness profiler's Touch cost and Advance pause, headed by a host line
 # (see results/assert_overhead.txt).
 assertbench:
-	go test -run '^$$' -bench BenchmarkAssertTrace -benchtime 3000x -benchmem ./internal/harness | tee results/assert_overhead.txt
-	go test -run '^$$' -bench BenchmarkStaleness -benchmem ./internal/harness | tee -a results/assert_overhead.txt
+	{ echo "# nproc=$$(nproc) GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)} cpu=\"$$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ *//')\" $$(go version | cut -d' ' -f3-) commit=$$(git describe --always --dirty 2>/dev/null)"; \
+	  go test -run '^$$' -bench BenchmarkAssertTrace -benchtime 3000x -benchmem ./internal/harness; \
+	  go test -run '^$$' -bench BenchmarkStaleness -benchmem ./internal/harness; } | tee results/assert_overhead.txt
 
 # Serving SLO sweep: the minidb server under open-loop load over loopback
 # HTTP, swept across request rates and collector configs, with per-cell
@@ -100,15 +100,17 @@ slobench:
 # direct vs buffered allocation across every collector mode, telemetry on vs
 # off (recording must be pure observation — byte-identical heaps),
 # stop-the-world vs background-pacer concurrent collection (same final
-# marked set and assertion verdicts), and whole-heap vs per-zone collection
-# (verdicts, live sets, and remembered-set precision).
+# marked set and assertion verdicts), whole-heap vs per-zone collection
+# (verdicts, live sets, and remembered-set precision), and the staleness
+# tracker vs its map reference; TestSideTabVerdicts checks the dense side
+# tables' per-cycle verdicts.
 difftest:
 	go test -race -run 'TestIncrementalDifferential|TestOracle' -v ./internal/trace
 	go test -race -run 'TestSweepModesDifferential|TestLazySweep|TestAllocBuffer|TestTelemetry' -v ./internal/core
 	go test -race -run 'TestConcurrentDifferential' -v ./internal/core
 	go test -race -run 'TestZoneDifferential|TestZoneRemsetPrecision' -v ./internal/core
 	go test -race -run 'TestParallelZoneDifferential' -v ./internal/core
-	go test -race -run 'TestSideTabDifferential' -v ./internal/core
+	go test -race -run 'TestSideTabVerdicts' -v ./internal/core
 	go test -race -run 'TestStalenessSideTabDifferential' -v ./internal/staleness
 
 # Short coverage-guided fuzz runs: the stop-the-world/incremental

@@ -16,7 +16,7 @@ import (
 // the cached Force decisions, and the Halt verdict are all per-collection),
 // while the engine's long-lived tables (region objects, ownership, stats,
 // the handler chain) are shared and guarded by e.mu. A Cycle is touched
-// only by the goroutine driving its collection, so its maps need no lock;
+// only by the goroutine driving its collection, so its tables need no lock;
 // dispatch and every read of a shared table take e.mu internally. e.mu is
 // ordered after the runtime lock and the zone locks and before nothing —
 // no lock is ever acquired under it (the handler chain runs under it, so
@@ -32,18 +32,13 @@ type Cycle struct {
 	seq uint64
 
 	// Per-cycle report deduplication: dense epoch-stamped tables drawn
-	// from the engine pool (tabs), or — in the map-backed reference mode,
-	// and on the pre-collection placeholder cycle — lazily-built maps.
-	// tabs.dead / reportedDead cache the handler's action so the Force
-	// decision is applied consistently to every incoming reference of the
-	// same object; the improper table is shared between the ownership
-	// phase's improper-use reports and the root phase's unowned-ownee
-	// reports, so one object yields at most one ownership warning per
-	// cycle regardless of which phase sees it first.
-	tabs             *cycleTabs
-	reportedDead     map[vmheap.Ref]report.Action
-	reportedShared   map[vmheap.Ref]bool
-	reportedImproper map[vmheap.Ref]bool
+	// from the engine pool. tabs.dead caches the handler's action so the
+	// Force decision is applied consistently to every incoming reference
+	// of the same object; the improper table is shared between the
+	// ownership phase's improper-use reports and the root phase's
+	// unowned-ownee reports, so one object yields at most one ownership
+	// warning per cycle regardless of which phase sees it first.
+	tabs *cycleTabs
 
 	halt *report.Violation
 }
@@ -80,8 +75,7 @@ func (e *Engine) acquireTabs() *cycleTabs {
 // Call after the last read of the cycle's state (Halted is unaffected —
 // the halt verdict lives on the Cycle itself). The whole-heap paths
 // release via BeginCycle; the concurrent zone path releases at the end of
-// ZoneCollection.Finish. Releasing a map-mode or placeholder cycle is a
-// no-op; a second release of the same cycle likewise.
+// ZoneCollection.Finish. A second release of the same cycle is a no-op.
 func (e *Engine) ReleaseCycle(c *Cycle) {
 	if c == nil || c.tabs == nil {
 		return
@@ -99,11 +93,7 @@ func (e *Engine) ReleaseCycle(c *Cycle) {
 // NewCycle creates a fresh cycle for one collection. Safe to call
 // concurrently with other collections.
 func (e *Engine) NewCycle() *Cycle {
-	c := &Cycle{e: e, seq: e.cycle.Add(1)}
-	if !e.mapTables {
-		c.tabs = e.acquireTabs()
-	}
-	return c
+	return &Cycle{e: e, seq: e.cycle.Add(1), tabs: e.acquireTabs()}
 }
 
 // BeginCycle prepares the engine's default cycle for a collection (the
@@ -189,75 +179,16 @@ func (c *Cycle) dispatch(v *report.Violation) report.Action {
 	return act
 }
 
-// deadSeen, recordDead, sharedSeenRecord, improperSeen and recordImproper
-// are the dedupe-table accessors the trace hooks run per encounter: one
-// dense epoch-stamped probe in sidetab mode, the original map operations
-// in the reference mode (and on the pre-collection placeholder cycle,
-// whose tables are nil in both modes).
-
-func (c *Cycle) deadSeen(obj vmheap.Ref) (report.Action, bool) {
-	if c.tabs != nil {
-		return c.tabs.dead.Get(uint32(obj))
-	}
-	act, ok := c.reportedDead[obj]
-	return act, ok
-}
-
-func (c *Cycle) recordDead(obj vmheap.Ref, act report.Action) {
-	if c.tabs != nil {
-		c.tabs.dead.Set(uint32(obj), act)
-		return
-	}
-	if c.reportedDead == nil {
-		c.reportedDead = make(map[vmheap.Ref]report.Action)
-	}
-	c.reportedDead[obj] = act
-}
-
-// sharedSeenRecord marks obj as shared-reported, returning whether it
-// already was.
-func (c *Cycle) sharedSeenRecord(obj vmheap.Ref) bool {
-	if c.tabs != nil {
-		return !c.tabs.shared.Set(uint32(obj))
-	}
-	if c.reportedShared[obj] {
-		return true
-	}
-	if c.reportedShared == nil {
-		c.reportedShared = make(map[vmheap.Ref]bool)
-	}
-	c.reportedShared[obj] = true
-	return false
-}
-
-func (c *Cycle) improperSeen(obj vmheap.Ref) bool {
-	if c.tabs != nil {
-		return c.tabs.improper.Get(uint32(obj))
-	}
-	return c.reportedImproper[obj]
-}
-
-func (c *Cycle) recordImproper(obj vmheap.Ref) {
-	if c.tabs != nil {
-		c.tabs.improper.Set(uint32(obj))
-		return
-	}
-	if c.reportedImproper == nil {
-		c.reportedImproper = make(map[vmheap.Ref]bool)
-	}
-	c.reportedImproper[obj] = true
-}
-
 // onDead handles an encounter of a dead-asserted object during tracing. The
 // handler runs once per object per cycle; its action is cached so Force is
 // applied uniformly to every incoming reference.
 func (c *Cycle) onDead(obj vmheap.Ref, path func() []vmheap.Ref) report.Action {
-	if act, seen := c.deadSeen(obj); seen {
+	if act, seen := c.tabs.dead.Get(uint32(obj)); seen {
 		return act
 	}
 	e := c.e
 	kind := report.DeadReachable
-	if e.regionHas(obj) {
+	if e.regionTab.Get(uint32(obj)) {
 		kind = report.RegionSurvivor
 	}
 	v := &report.Violation{
@@ -268,14 +199,14 @@ func (c *Cycle) onDead(obj vmheap.Ref, path func() []vmheap.Ref) report.Action {
 		Path:   e.pathElems(path()),
 	}
 	act := c.dispatch(v)
-	c.recordDead(obj, act)
+	c.tabs.dead.Set(uint32(obj), act)
 	return act
 }
 
 // onShared handles the second encounter of an unshared-asserted object.
 func (c *Cycle) onShared(obj vmheap.Ref, path func() []vmheap.Ref) {
-	if c.sharedSeenRecord(obj) {
-		return
+	if !c.tabs.shared.Set(uint32(obj)) {
+		return // already reported this cycle
 	}
 	e := c.e
 	c.dispatch(&report.Violation{
@@ -294,12 +225,11 @@ func (c *Cycle) onShared(obj vmheap.Ref, path func() []vmheap.Ref) {
 // root scan and the ownee-subtree drain both call it) warns exactly once
 // per cycle.
 func (c *Cycle) onUnowned(obj vmheap.Ref, path func() []vmheap.Ref) {
-	if c.improperSeen(obj) {
+	if !c.tabs.improper.Set(uint32(obj)) {
 		// Already reported as improper use during the ownership phase;
 		// a second warning for the same object would be noise.
 		return
 	}
-	c.recordImproper(obj)
 	e := c.e
 	ownerName := "unknown owner"
 	if idx, ok := e.ownerOf(obj); ok {
@@ -319,10 +249,9 @@ func (c *Cycle) onUnowned(obj vmheap.Ref, path func() []vmheap.Ref) {
 
 // onImproper handles an ownee reached from a different owner's scan.
 func (c *Cycle) onImproper(obj vmheap.Ref, scanningOwner int, path func() []vmheap.Ref) {
-	if c.improperSeen(obj) {
+	if !c.tabs.improper.Set(uint32(obj)) {
 		return
 	}
-	c.recordImproper(obj)
 	e := c.e
 	owner := "unknown owner"
 	if o := e.owners[scanningOwner]; o != vmheap.Nil {
@@ -441,7 +370,7 @@ func (e *Engine) PreSweep(live func(vmheap.Ref) bool) {
 		if !marked(o) {
 			deadOwner[i] = true
 			dying = append(dying, o)
-			e.delOwnerIdx(o)
+			e.ownerTab.Delete(uint32(o))
 			// The object is about to be freed; its header dies with it,
 			// so there is no bit to clear.
 			e.owners[i] = vmheap.Nil
@@ -519,25 +448,12 @@ func (e *Engine) SweepFlags() uint64 { return vmheap.FlagOwned }
 // and a later allocation recycling such a Ref would be misreported as a
 // RegionSurvivor if it is ever asserted dead.
 func (e *Engine) FreeHook() func(vmheap.Ref, uint64) {
-	if e.regionTab != nil {
-		// Dense mode: the purge locks only the freed ref's zone shard, so
-		// concurrent zone sweeps free without touching the engine guard.
-		if e.regionTab.Len() == 0 {
-			return nil
-		}
-		return func(r vmheap.Ref, _ uint64) { e.regionTab.Unset(uint32(r)) }
-	}
-	e.mu.Lock()
-	n := len(e.regionMap)
-	e.mu.Unlock()
-	if n == 0 {
+	if e.regionTab.Len() == 0 {
 		return nil
 	}
-	return func(r vmheap.Ref, _ uint64) {
-		e.mu.Lock()
-		delete(e.regionMap, r)
-		e.mu.Unlock()
-	}
+	// The purge locks only the freed ref's zone shard, so concurrent zone
+	// sweeps free without touching the engine guard.
+	return func(r vmheap.Ref, _ uint64) { e.regionTab.Unset(uint32(r)) }
 }
 
 // InstanceLimitFor exposes a class's current limit (tools and tests).

@@ -70,25 +70,19 @@ type Engine struct {
 
 	// Region standing — which dead-asserted objects came from an
 	// assert-alldead bracket, so their violations carry the RegionSurvivor
-	// kind; entries are purged as objects are freed. The dense form is a
-	// zone-sharded epoch table (internal/sidetab): the per-free purge and
-	// the per-encounter probe lock only the shard of the ref's own zone,
-	// so concurrent zone collections never contend here (shard locks are
-	// leaves, safe under e.mu). mapTables selects the original map-backed
-	// form, kept as the differential-testing and benchmark baseline; the
-	// map is then guarded by e.mu as before.
-	mapTables bool
-	regionTab *sidetab.ShardedBits // nil when mapTables
-	regionMap map[vmheap.Ref]bool  // nil unless mapTables
+	// kind; entries are purged as objects are freed. A zone-sharded epoch
+	// table (internal/sidetab): the per-free purge and the per-encounter
+	// probe lock only the shard of the ref's own zone, so concurrent zone
+	// collections never contend here (shard locks are leaves, safe under
+	// e.mu).
+	regionTab *sidetab.ShardedBits
 
 	// Ownership tables. owners may contain Nil holes after an owner is
-	// collected; ownerTab (or ownerMap under mapTables) maps live owner
-	// objects to their slot. Guarded by e.mu in both forms — ownership
-	// assertions always escalate to whole-heap collections, so this table
-	// sees no zone concurrency.
+	// collected; ownerTab maps live owner objects to their slot. Guarded
+	// by e.mu — ownership assertions always escalate to whole-heap
+	// collections, so this table sees no zone concurrency.
 	owners   []vmheap.Ref
 	ownerTab *sidetab.Table[int32]
-	ownerMap map[vmheap.Ref]int
 	ownees   []owneeEntry // sorted by obj
 
 	// Per-cycle dedupe table pool (see cycle.go): released cycleTabs wait
@@ -112,9 +106,10 @@ func New(h *vmheap.Heap, reg *classes.Registry, ts *threads.Set, handler report.
 		ownerTab:  sidetab.NewTable[int32](),
 	}
 	// The initial default cycle exists so pre-collection paths never see a
-	// nil cycle; it must NOT consume a sequence number — the first real
-	// collection's BeginCycle is cycle 1, as reports have always numbered.
-	e.defaultCycle = &Cycle{e: e}
+	// nil cycle or a cycle without tables; it must NOT consume a sequence
+	// number — the first real collection's BeginCycle is cycle 1, as
+	// reports have always numbered.
+	e.defaultCycle = &Cycle{e: e, tabs: e.acquireTabs()}
 	return e
 }
 
@@ -126,88 +121,10 @@ func (e *Engine) SetHandler(h report.Handler) { e.handler = h }
 // recording on the allocation path) against concurrent zone collections.
 func (e *Engine) Guard() *sync.Mutex { return &e.mu }
 
-// SetMapTables switches the engine to the original map-backed side tables
-// (the reference implementation the sidetab differential tests and the
-// assertbench baseline run against). Must be called before any region,
-// ownership, or collection activity; existing dense entries do not
-// migrate.
-func (e *Engine) SetMapTables(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.mapTables = on
-	if on {
-		e.regionTab = nil
-		e.ownerTab = nil
-		e.regionMap = make(map[vmheap.Ref]bool)
-		e.ownerMap = make(map[vmheap.Ref]int)
-	} else {
-		e.regionTab = sidetab.NewShardedBits(e.heap.ZoneRanges())
-		e.ownerTab = sidetab.NewTable[int32]()
-		e.regionMap = nil
-		e.ownerMap = nil
-	}
-}
-
-// regionHas probes region standing. Dense mode locks only the ref's zone
-// shard; map mode takes e.mu (callers never hold it here).
-func (e *Engine) regionHas(r vmheap.Ref) bool {
-	if e.regionTab != nil {
-		return e.regionTab.Get(uint32(r))
-	}
-	e.mu.Lock()
-	ok := e.regionMap[r]
-	e.mu.Unlock()
-	return ok
-}
-
-// regionSet and regionDel mutate region standing; callers hold e.mu in
-// map mode (the dense shard locks are safe under it).
-func (e *Engine) regionSet(r vmheap.Ref) {
-	if e.regionTab != nil {
-		e.regionTab.Set(uint32(r))
-		return
-	}
-	e.regionMap[r] = true
-}
-
-func (e *Engine) regionDel(r vmheap.Ref) {
-	if e.regionTab != nil {
-		e.regionTab.Unset(uint32(r))
-		return
-	}
-	delete(e.regionMap, r)
-}
-
-// ownerIdx looks up an owner's slot; caller holds e.mu.
-func (e *Engine) ownerIdx(r vmheap.Ref) (int, bool) {
-	if e.ownerTab != nil {
-		v, ok := e.ownerTab.Get(uint32(r))
-		return int(v), ok
-	}
-	i, ok := e.ownerMap[r]
-	return i, ok
-}
-
-func (e *Engine) setOwnerIdx(r vmheap.Ref, idx int) {
-	if e.ownerTab != nil {
-		e.ownerTab.Set(uint32(r), int32(idx))
-		return
-	}
-	e.ownerMap[r] = idx
-}
-
-func (e *Engine) delOwnerIdx(r vmheap.Ref) {
-	if e.ownerTab != nil {
-		e.ownerTab.Delete(uint32(r))
-		return
-	}
-	delete(e.ownerMap, r)
-}
-
 // SideTabFootprint sums the dense side tables' materialized chunk bytes
 // and lifetime epoch rollovers — the engine-owned tables plus every
-// per-cycle table set. Zero in map mode. Safe concurrently with
-// collections (the counters are atomic; the table registry is under e.mu).
+// per-cycle table set. Safe concurrently with collections (the counters
+// are atomic; the table registry is under e.mu).
 func (e *Engine) SideTabFootprint() (chunkBytes, rollovers uint64) {
 	e.mu.Lock()
 	tabs := e.allTabs
@@ -216,12 +133,8 @@ func (e *Engine) SideTabFootprint() (chunkBytes, rollovers uint64) {
 		chunkBytes += s.ChunkBytes
 		rollovers += s.Rollovers
 	}
-	if e.regionTab != nil {
-		add(e.regionTab.Stats())
-	}
-	if e.ownerTab != nil {
-		add(e.ownerTab.Stats())
-	}
+	add(e.regionTab.Stats())
+	add(e.ownerTab.Stats())
 	for _, t := range tabs {
 		add(t.dead.Stats())
 		add(t.shared.Stats())
@@ -315,11 +228,11 @@ func (e *Engine) AssertAllDead(t *threads.Thread) error {
 		if !e.heap.IsObject(r) {
 			// The region object was reclaimed (or its Ref now points into
 			// a free chunk): it must not retain region standing either.
-			e.regionDel(r)
+			e.regionTab.Unset(uint32(r))
 			continue
 		}
 		e.heap.SetFlags(r, vmheap.FlagDead)
-		e.regionSet(r)
+		e.regionTab.Set(uint32(r))
 		e.stats.DeadAsserts++
 	}
 	return nil
@@ -349,25 +262,25 @@ func (e *Engine) AssertOwnedBy(owner, ownee vmheap.Ref) error {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	idx, known := e.ownerIdx(owner)
+	idx, known := e.ownerTab.Get(uint32(owner))
 	if !known {
-		idx = len(e.owners)
+		idx = int32(len(e.owners))
 		e.owners = append(e.owners, owner)
-		e.setOwnerIdx(owner, idx)
+		e.ownerTab.Set(uint32(owner), idx)
 		e.heap.SetFlags(owner, vmheap.FlagOwner)
 	}
 
 	// Sorted insert into the ownee table (the paper's sorted arrays).
 	i := sort.Search(len(e.ownees), func(i int) bool { return e.ownees[i].obj >= ownee })
 	if i < len(e.ownees) && e.ownees[i].obj == ownee {
-		if e.ownees[i].owner == int32(idx) {
+		if e.ownees[i].owner == idx {
 			return nil // duplicate assertion: no-op
 		}
 		return errors.New("assertions: assert-ownedby: ownee already has a different owner")
 	}
 	e.ownees = append(e.ownees, owneeEntry{})
 	copy(e.ownees[i+1:], e.ownees[i:])
-	e.ownees[i] = owneeEntry{obj: ownee, owner: int32(idx)}
+	e.ownees[i] = owneeEntry{obj: ownee, owner: idx}
 	e.heap.SetFlags(ownee, vmheap.FlagOwnee)
 	e.stats.OwnedByAsserts++
 	return nil

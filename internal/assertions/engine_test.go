@@ -364,37 +364,28 @@ func TestOnUnownedDedupePerCycle(t *testing.T) {
 	// Regression: onUnowned checked the improper table but never recorded
 	// its own report, so a second root-phase encounter of the same unowned
 	// ownee (root scan + ownee-subtree drain) warned twice in one cycle.
-	for _, mapMode := range []bool{false, true} {
-		name := "sidetab"
-		if mapMode {
-			name = "map"
-		}
-		t.Run(name, func(t *testing.T) {
-			e := newEnv(t)
-			e.e.SetMapTables(mapMode)
-			owner := e.alloc(t)
-			ownee := e.alloc(t)
-			if err := e.e.AssertOwnedBy(owner, ownee); err != nil {
-				t.Fatal(err)
-			}
-			path := func() []vmheap.Ref { return []vmheap.Ref{ownee} }
-			e.e.BeginCycle()
-			e.e.defaultCycle.onUnowned(ownee, path)
-			e.e.defaultCycle.onUnowned(ownee, path) // same cycle: no re-report
-			if got := len(e.rec.ByKind(report.UnownedOwnee)); got != 1 {
-				t.Errorf("unowned reports = %d, want 1", got)
-			}
-			// An unowned report also suppresses a later improper one —
-			// the two phases share a dedupe domain.
-			e.e.defaultCycle.onImproper(ownee, 0, path)
-			if got := len(e.rec.ByKind(report.ImproperOwnership)); got != 0 {
-				t.Errorf("improper after unowned = %d, want 0", got)
-			}
-			e.e.BeginCycle()
-			e.e.defaultCycle.onUnowned(ownee, path)
-			if got := len(e.rec.ByKind(report.UnownedOwnee)); got != 2 {
-				t.Errorf("unowned after new cycle = %d, want 2", got)
-			}
-		})
+	e := newEnv(t)
+	owner := e.alloc(t)
+	ownee := e.alloc(t)
+	if err := e.e.AssertOwnedBy(owner, ownee); err != nil {
+		t.Fatal(err)
+	}
+	path := func() []vmheap.Ref { return []vmheap.Ref{ownee} }
+	e.e.BeginCycle()
+	e.e.defaultCycle.onUnowned(ownee, path)
+	e.e.defaultCycle.onUnowned(ownee, path) // same cycle: no re-report
+	if got := len(e.rec.ByKind(report.UnownedOwnee)); got != 1 {
+		t.Errorf("unowned reports = %d, want 1", got)
+	}
+	// An unowned report also suppresses a later improper one — the two
+	// phases share a dedupe domain.
+	e.e.defaultCycle.onImproper(ownee, 0, path)
+	if got := len(e.rec.ByKind(report.ImproperOwnership)); got != 0 {
+		t.Errorf("improper after unowned = %d, want 0", got)
+	}
+	e.e.BeginCycle()
+	e.e.defaultCycle.onUnowned(ownee, path)
+	if got := len(e.rec.ByKind(report.UnownedOwnee)); got != 2 {
+		t.Errorf("unowned after new cycle = %d, want 2", got)
 	}
 }

@@ -174,14 +174,6 @@ type Config struct {
 	// the published configuration — compiles every emit point down to one
 	// predictable nil-check branch.
 	Telemetry *telemetry.Config
-	// MapSideTables switches the assertion engine back to the original
-	// map[Ref]-backed side tables instead of the dense epoch-stamped
-	// tables (internal/sidetab). The maps are the reference
-	// implementation: the sidetab differential tests run both and require
-	// identical verdicts, and assertbench uses this as its before
-	// baseline. Off by default — the dense tables are the measured
-	// configuration.
-	MapSideTables bool
 }
 
 // Runtime is a managed heap plus its collector and assertion engine.
@@ -445,9 +437,6 @@ func New(cfg Config) *Runtime {
 			handler = rt.recorder
 		}
 		rt.engine = assertions.New(rt.heap, rt.reg, rt.threads, handler)
-		if cfg.MapSideTables {
-			rt.engine.SetMapTables(true)
-		}
 	}
 
 	switch cfg.Collector {

@@ -80,8 +80,7 @@ type Stats struct {
 	// materialized chunk storage across the assertion engine's tables and
 	// lifetime epoch rollovers (full chunk zeroings forced by a 32-bit
 	// epoch wrap). Snapshotted from the engine when the runtime builds a
-	// stats snapshot; zero in Base mode and in the map-backed
-	// differential mode.
+	// stats snapshot; zero in Base mode.
 	SideTabChunkBytes uint64
 	SideTabRollovers  uint64
 

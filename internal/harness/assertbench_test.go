@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -9,19 +8,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/staleness"
 )
-
-// tableVariants names the two side-table implementations the assertion
-// engine can run on: the dense epoch-stamped tables (the default) and the
-// original map[Ref] reference implementation (Config.MapSideTables). The
-// overhead benchmarks run every assertion kind under both, so
-// results/assert_overhead.txt carries before/after numbers side by side.
-var tableVariants = []struct {
-	name string
-	maps bool
-}{
-	{"sidetab", false},
-	{"map", true},
-}
 
 // BenchmarkAssertTrace measures per-assertion-kind collection overhead on
 // the pseudojbb shape: trace words per second with the engine unarmed
@@ -46,92 +32,88 @@ var tableVariants = []struct {
 func BenchmarkAssertTrace(b *testing.B) {
 	const armed = 400
 	kinds := []string{"unarmed", "dead", "region", "unshared", "owned"}
-	for _, tv := range tableVariants {
-		for _, kind := range kinds {
-			kind := kind
-			tv := tv
-			b.Run(fmt.Sprintf("%s/%s", kind, tv.name), func(b *testing.B) {
-				var fired int
-				rt := core.New(core.Config{
-					HeapWords:     1 << 18,
-					Mode:          core.Infrastructure,
-					MapSideTables: tv.maps,
-					Handler: report.HandlerFunc(func(*report.Violation) report.Action {
-						fired++
-						return report.Continue
-					}),
-				})
-				bench := jbb.New(rt, jbb.Config{ClearLastOrder: true, ClearOldCompany: true})
-				th := rt.MainThread()
-				for i := 0; i < 20; i++ {
-					bench.RunTransactions(25)
-				}
+	for _, kind := range kinds {
+		kind := kind
+		b.Run(kind, func(b *testing.B) {
+			var fired int
+			rt := core.New(core.Config{
+				HeapWords: 1 << 18,
+				Mode:      core.Infrastructure,
+				Handler: report.HandlerFunc(func(*report.Violation) report.Action {
+					fired++
+					return report.Continue
+				}),
+			})
+			bench := jbb.New(rt, jbb.Config{ClearLastOrder: true, ClearOldCompany: true})
+			th := rt.MainThread()
+			for i := 0; i < 20; i++ {
+				bench.RunTransactions(25)
+			}
 
-				// The armed population: objects rooted through a global
-				// array so they survive (and re-report) every cycle.
-				node := rt.DefineClass("ABNode", core.RefField("next"))
-				pinCount := armed
-				if kind == "unshared" {
-					pinCount = 2 * armed // second slot = second reference
+			// The armed population: objects rooted through a global
+			// array so they survive (and re-report) every cycle.
+			node := rt.DefineClass("ABNode", core.RefField("next"))
+			pinCount := armed
+			if kind == "unshared" {
+				pinCount = 2 * armed // second slot = second reference
+			}
+			pin := rt.AddGlobal("assertbench.pin")
+			arr := th.NewRefArray(pinCount + 1)
+			pin.Set(arr)
+			if kind == "region" {
+				if err := th.StartRegion(); err != nil {
+					b.Fatal(err)
 				}
-				pin := rt.AddGlobal("assertbench.pin")
-				arr := th.NewRefArray(pinCount + 1)
-				pin.Set(arr)
-				if kind == "region" {
-					if err := th.StartRegion(); err != nil {
+			}
+			var owner core.Ref
+			if kind == "owned" {
+				owner = th.New(node)
+				rt.ArrSetRef(arr, pinCount, owner)
+			}
+			for i := 0; i < armed; i++ {
+				r := th.New(node)
+				rt.ArrSetRef(arr, i, r)
+				switch kind {
+				case "dead":
+					if err := rt.AssertDead(r); err != nil {
+						b.Fatal(err)
+					}
+				case "unshared":
+					rt.ArrSetRef(arr, armed+i, r)
+					if err := rt.AssertUnshared(r); err != nil {
+						b.Fatal(err)
+					}
+				case "owned":
+					if err := rt.AssertOwnedBy(owner, r); err != nil {
 						b.Fatal(err)
 					}
 				}
-				var owner core.Ref
-				if kind == "owned" {
-					owner = th.New(node)
-					rt.ArrSetRef(arr, pinCount, owner)
+			}
+			if kind == "region" {
+				if err := th.AssertAllDead(); err != nil {
+					b.Fatal(err)
 				}
-				for i := 0; i < armed; i++ {
-					r := th.New(node)
-					rt.ArrSetRef(arr, i, r)
-					switch kind {
-					case "dead":
-						if err := rt.AssertDead(r); err != nil {
-							b.Fatal(err)
-						}
-					case "unshared":
-						rt.ArrSetRef(arr, armed+i, r)
-						if err := rt.AssertUnshared(r); err != nil {
-							b.Fatal(err)
-						}
-					case "owned":
-						if err := rt.AssertOwnedBy(owner, r); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				if kind == "region" {
-					if err := th.AssertAllDead(); err != nil {
-						b.Fatal(err)
-					}
-				}
+			}
+			if err := rt.GC(); err != nil {
+				b.Fatal(err)
+			}
+			before := rt.Stats().GC.MarkedWords
+			fired = 0
+
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if err := rt.GC(); err != nil {
 					b.Fatal(err)
 				}
-				before := rt.Stats().GC.MarkedWords
-				fired = 0
+			}
+			b.StopTimer()
 
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := rt.GC(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-
-				marked := rt.Stats().GC.MarkedWords - before
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(marked)/secs/1e6, "Mwords/s")
-				}
-				b.ReportMetric(float64(fired)/float64(b.N), "reports/gc")
-			})
-		}
+			marked := rt.Stats().GC.MarkedWords - before
+			if secs := b.Elapsed().Seconds(); secs > 0 {
+				b.ReportMetric(float64(marked)/secs/1e6, "Mwords/s")
+			}
+			b.ReportMetric(float64(fired)/float64(b.N), "reports/gc")
+		})
 	}
 }
 
@@ -153,44 +135,27 @@ func newStalenessWorld(b *testing.B) (*core.Runtime, []core.Ref) {
 }
 
 // BenchmarkStalenessTouch measures the profiler's per-access cost: one
-// Touch on a live-object working set, dense side table versus map.
+// Touch on a live-object working set.
 func BenchmarkStalenessTouch(b *testing.B) {
-	for _, tv := range tableVariants {
-		tv := tv
-		b.Run(tv.name, func(b *testing.B) {
-			_, refs := newStalenessWorld(b)
-			tr := staleness.New(3)
-			if tv.maps {
-				tr = staleness.NewMapBacked(3)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.Touch(refs[i%len(refs)])
-			}
-		})
+	_, refs := newStalenessWorld(b)
+	tr := staleness.New(3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Touch(refs[i%len(refs)])
 	}
 }
 
 // BenchmarkStalenessAdvance measures the post-collection aging pause: one
-// Advance over the pseudojbb live set. The dense form reuses one scratch
-// table per call; the map form rebuilds a live map every time.
+// Advance over the pseudojbb live set, reusing one scratch table per call.
 func BenchmarkStalenessAdvance(b *testing.B) {
-	for _, tv := range tableVariants {
-		tv := tv
-		b.Run(tv.name, func(b *testing.B) {
-			rt, refs := newStalenessWorld(b)
-			tr := staleness.New(3)
-			if tv.maps {
-				tr = staleness.NewMapBacked(3)
-			}
-			for _, r := range refs {
-				tr.Touch(r)
-			}
-			tr.Advance(rt)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.Advance(rt)
-			}
-		})
+	rt, refs := newStalenessWorld(b)
+	tr := staleness.New(3)
+	for _, r := range refs {
+		tr.Touch(r)
+	}
+	tr.Advance(rt)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Advance(rt)
 	}
 }

@@ -17,9 +17,7 @@
 // so the last-access table is a dense arena-indexed side table
 // (internal/sidetab): an array store per Touch instead of a map write,
 // and an Advance that reuses one scratch table instead of rebuilding a
-// live map per collection (zero steady-state allocation). NewMapBacked
-// keeps the original map implementation as the differential and benchmark
-// baseline.
+// live map per collection (zero steady-state allocation).
 package staleness
 
 import (
@@ -37,10 +35,10 @@ type Tracker struct {
 
 	epoch uint64
 
-	// Dense form: tab[r] = last-access epoch + 1 (the +1 bias keeps
-	// epoch 0 representable; 0 means untracked). Stamps are uint32, so
-	// the tracker supports 2^32-2 Advances — epochs beyond that would
-	// alias. scratch is the per-Advance live set, cleared by epoch bump.
+	// tab[r] = last-access epoch + 1 (the +1 bias keeps epoch 0
+	// representable; 0 means untracked). Stamps are uint32, so the
+	// tracker supports 2^32-2 Advances — epochs beyond that would alias.
+	// scratch is the per-Advance live set, cleared by epoch bump.
 	tab     *sidetab.Epoch32
 	scratch *sidetab.Bits
 
@@ -49,11 +47,6 @@ type Tracker struct {
 	advRT   *core.Runtime
 	stampFn func(core.Ref)
 	pruneFn func(uint32, uint32) bool
-
-	// Map-backed reference form (NewMapBacked): last[r] is the epoch of
-	// r's most recent access (or its first sighting, for objects never
-	// touched). nil in dense mode.
-	last map[core.Ref]uint64
 }
 
 // New creates a tracker backed by dense side tables.
@@ -68,24 +61,10 @@ func New(threshold uint64) *Tracker {
 	}
 }
 
-// NewMapBacked creates a tracker using the original map[Ref]
-// implementation — the reference the sidetab differential tests compare
-// against and the assertbench "before" baseline.
-func NewMapBacked(threshold uint64) *Tracker {
-	if threshold == 0 {
-		threshold = 3
-	}
-	return &Tracker{Threshold: threshold, last: map[core.Ref]uint64{}}
-}
-
 // Touch records an access to r — call it wherever the application reads or
 // writes the object (SWAT samples these; we record them all).
 func (t *Tracker) Touch(r core.Ref) {
 	if r == core.Nil {
-		return
-	}
-	if t.last != nil {
-		t.last[r] = t.epoch
 		return
 	}
 	t.tab.Set(uint32(r), uint32(t.epoch)+1)
@@ -94,27 +73,11 @@ func (t *Tracker) Touch(r core.Ref) {
 // Advance ages the tracker by one collection: call it right after a full
 // GC. Reclaimed objects leave the table (their refs may be recycled);
 // never-seen live objects enter it with the current epoch as their
-// baseline. The dense form does one heap walk into a reusable scratch
-// table and prunes against it — after the first call for a runtime it
-// allocates nothing (the steady-state assertion in its test pins this).
+// baseline. It does one heap walk into a reusable scratch table and prunes
+// against it — after the first call for a runtime it allocates nothing
+// (the steady-state assertion in its test pins this).
 func (t *Tracker) Advance(rt *core.Runtime) {
 	t.epoch++
-	if t.last != nil {
-		live := map[core.Ref]bool{}
-		rt.Objects(func(r core.Ref) { live[r] = true })
-		for r := range t.last {
-			if !live[r] {
-				delete(t.last, r)
-			}
-		}
-		for r := range live {
-			if _, ok := t.last[r]; !ok {
-				t.last[r] = t.epoch
-			}
-		}
-		return
-	}
-
 	t.scratch.Clear()
 	if t.advRT != rt || t.stampFn == nil {
 		t.advRT = rt
@@ -147,26 +110,16 @@ type StaleObject struct {
 // perfectly live data lands here too.
 func (t *Tracker) Stale(rt *core.Runtime) []StaleObject {
 	var out []StaleObject
-	add := func(r core.Ref, last uint64) {
-		idle := t.epoch - last
-		if idle >= t.Threshold {
+	t.tab.Range(func(key, v uint32) bool {
+		if idle := t.epoch - (uint64(v) - 1); idle >= t.Threshold {
 			out = append(out, StaleObject{
-				Ref:        r,
-				Class:      rt.ClassOf(r).Name,
+				Ref:        core.Ref(key),
+				Class:      rt.ClassOf(core.Ref(key)).Name,
 				IdleEpochs: idle,
 			})
 		}
-	}
-	if t.last != nil {
-		for r, last := range t.last {
-			add(r, last)
-		}
-	} else {
-		t.tab.Range(func(key, v uint32) bool {
-			add(core.Ref(key), uint64(v)-1)
-			return true
-		})
-	}
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].IdleEpochs != out[j].IdleEpochs {
 			return out[i].IdleEpochs > out[j].IdleEpochs
@@ -177,9 +130,4 @@ func (t *Tracker) Stale(rt *core.Runtime) []StaleObject {
 }
 
 // Tracked returns the current table size (tools and tests).
-func (t *Tracker) Tracked() int {
-	if t.last != nil {
-		return len(t.last)
-	}
-	return t.tab.Len()
-}
+func (t *Tracker) Tracked() int { return t.tab.Len() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -228,7 +229,7 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 }
 
 // TestStalenessSideTabDifferential runs one deterministic access script
-// against two trackers — dense side tables and the map-backed reference —
+// against two trackers — the dense Tracker and the mapTracker reference —
 // over identically-driven runtimes across the three collector modes and
 // three seeds, and requires identical suspect lists (refs, classes, idle
 // epochs, order) and table sizes after every Advance.
@@ -261,6 +262,69 @@ func TestStalenessSideTabDifferential(t *testing.T) {
 	}
 }
 
+// tracker is the surface the differential drives: the dense Tracker and
+// the mapTracker reference both implement it.
+type tracker interface {
+	Touch(core.Ref)
+	Advance(*core.Runtime)
+	Stale(*core.Runtime) []StaleObject
+	Tracked() int
+}
+
+// mapTracker is the map[Ref]-backed reference for Tracker: last[r] is the
+// epoch of r's most recent access (or its first sighting, for objects
+// never touched). It is the plainest statement of the tracker's
+// semantics — Advance rebuilds a live map each call — so the dense
+// tables are checked against it rather than against themselves.
+type mapTracker struct {
+	threshold, epoch uint64
+	last             map[core.Ref]uint64
+}
+
+func newMapTracker(threshold uint64) *mapTracker {
+	return &mapTracker{threshold: threshold, last: map[core.Ref]uint64{}}
+}
+
+func (t *mapTracker) Touch(r core.Ref) {
+	if r != core.Nil {
+		t.last[r] = t.epoch
+	}
+}
+
+func (t *mapTracker) Advance(rt *core.Runtime) {
+	t.epoch++
+	live := map[core.Ref]bool{}
+	rt.Objects(func(r core.Ref) { live[r] = true })
+	for r := range t.last {
+		if !live[r] {
+			delete(t.last, r)
+		}
+	}
+	for r := range live {
+		if _, ok := t.last[r]; !ok {
+			t.last[r] = t.epoch
+		}
+	}
+}
+
+func (t *mapTracker) Stale(rt *core.Runtime) []StaleObject {
+	var out []StaleObject
+	for r, last := range t.last {
+		if idle := t.epoch - last; idle >= t.threshold {
+			out = append(out, StaleObject{Ref: r, Class: rt.ClassOf(r).Name, IdleEpochs: idle})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].IdleEpochs != out[j].IdleEpochs {
+			return out[i].IdleEpochs > out[j].IdleEpochs
+		}
+		return out[i].Ref < out[j].Ref
+	})
+	return out
+}
+
+func (t *mapTracker) Tracked() int { return len(t.last) }
+
 // stalenessWorld is one runtime plus a tracker, driven by the script in
 // runStalenessDifferential. Both worlds make identical allocation and
 // mutation sequences, so refs correspond one to one.
@@ -270,10 +334,10 @@ type stalenessWorld struct {
 	entry *core.Class
 	arr   core.Ref
 	objs  []core.Ref
-	tr    *Tracker
+	tr    tracker
 }
 
-func newStalenessWorld(t *testing.T, cfg core.Config, tr *Tracker) *stalenessWorld {
+func newStalenessWorld(t *testing.T, cfg core.Config, tr tracker) *stalenessWorld {
 	t.Helper()
 	rt := core.New(cfg)
 	w := &stalenessWorld{rt: rt, th: rt.MainThread(), tr: tr}
@@ -285,7 +349,7 @@ func newStalenessWorld(t *testing.T, cfg core.Config, tr *Tracker) *stalenessWor
 
 func runStalenessDifferential(t *testing.T, cfg func() core.Config, seed int64) {
 	dense := newStalenessWorld(t, cfg(), New(2))
-	ref := newStalenessWorld(t, cfg(), NewMapBacked(2))
+	ref := newStalenessWorld(t, cfg(), newMapTracker(2))
 	worlds := []*stalenessWorld{dense, ref}
 
 	rng := rand.New(rand.NewSource(seed))
